@@ -1241,12 +1241,6 @@ std::vector<std::size_t> eager_greedy_selection(
   return winners;
 }
 
-std::vector<std::size_t> lazy_greedy_selection(
-    const single_stage_instance& instance) {
-  instance.validate();
-  return greedy_selection(instance);
-}
-
 bool wins_with_price(const single_stage_instance& instance,
                      std::size_t bid_index, double price_report) {
   ECRS_CHECK(bid_index < instance.bids.size());

@@ -216,10 +216,6 @@ void run_ssam(const compiled_instance& compiled, const ssam_options& options,
 [[nodiscard]] std::vector<std::size_t> eager_greedy_selection(
     const single_stage_instance& instance, ssam_scratch* scratch = nullptr);
 
-// Backwards-compatible alias of greedy_selection (both are lazy now).
-[[nodiscard]] std::vector<std::size_t> lazy_greedy_selection(
-    const single_stage_instance& instance);
-
 // Does `bid_index` win the greedy selection if its price is replaced by
 // `price_report` (all other bids unchanged)? Exits the replayed auction as
 // soon as the verdict is decided: when the probed bid is selected, or when

@@ -1,5 +1,6 @@
 #include "market/ingest.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -7,17 +8,44 @@
 
 namespace ecrs::market {
 
+namespace {
+
+// 2^63: the first double an int64 cast cannot hold.
+constexpr double kUnitsLimit = 9223372036854775808.0;
+
+void check_demand(std::uint32_t microservice, double amount) {
+  ECRS_CHECK_MSG(std::isfinite(amount) && amount >= 0.0,
+                 "microservice " << microservice << " reports demand "
+                                 << amount
+                                 << "; demand must be finite and >= 0");
+}
+
+}  // namespace
+
 auction::units quantize_demand(double accumulated,
                                const ingest_config& config,
                                auction::units supply_cap) {
+  ECRS_CHECK_MSG(!std::isnan(accumulated), "accumulated demand is NaN");
   if (accumulated <= 0.0) return 0;
-  auto q = static_cast<auction::units>(
-      std::ceil(accumulated / config.unit_demand));
-  if (config.max_requirement > 0) q = std::min(q, config.max_requirement);
-  q = std::min(q, supply_cap);
+  auction::units cap = supply_cap;
+  if (config.max_requirement > 0) cap = std::min(cap, config.max_requirement);
+  const double units = std::ceil(accumulated / config.unit_demand);
+  auction::units q = cap;
+  if (units < kUnitsLimit) {
+    q = std::min(static_cast<auction::units>(units), cap);
+  } else {
+    ECRS_CHECK_MSG(cap != kNoSupplyCap,
+                   "demand of " << accumulated
+                                << " exceeds the units range and no cap "
+                                   "bounds it");
+  }
   if (config.demand_scale != 1.0) {
-    q = static_cast<auction::units>(
-        std::ceil(static_cast<double>(q) * config.demand_scale));
+    const double scaled =
+        std::ceil(static_cast<double>(q) * config.demand_scale);
+    ECRS_CHECK_MSG(scaled < kUnitsLimit,
+                   "scaled requirement " << scaled
+                                         << " exceeds the units range");
+    q = static_cast<auction::units>(scaled);
   }
   return q;
 }
@@ -78,6 +106,7 @@ void round_ingestor::accumulate(std::span<const workload::request> batch) {
                    "request targets microservice "
                        << q.microservice << " outside the configured "
                        << config_.microservices);
+    check_demand(q.microservice, q.service_demand);
     accum_[q.microservice % regions][q.microservice / regions] +=
         q.service_demand;
   }
@@ -88,7 +117,7 @@ void round_ingestor::add_demand(std::uint32_t microservice, double amount) {
                  "demand targets microservice "
                      << microservice << " outside the configured "
                      << config_.microservices);
-  ECRS_CHECK_MSG(amount >= 0.0, "negative demand");
+  check_demand(microservice, amount);
   accum_[microservice % config_.regions][microservice / config_.regions] +=
       amount;
 }
@@ -101,7 +130,7 @@ void round_ingestor::add_demands(std::span<const double> by_microservice) {
   const std::uint32_t regions = config_.regions;
   for (std::uint32_t m = 0; m < config_.microservices; ++m) {
     const double amount = by_microservice[m];
-    ECRS_CHECK_MSG(amount >= 0.0, "negative demand");
+    check_demand(m, amount);
     accum_[m % regions][m / regions] += amount;
   }
 }

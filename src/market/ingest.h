@@ -72,6 +72,8 @@ struct ingest_config {
 // One request batch's demand, quantized to auction units: ceil of
 // accumulated / unit_demand, capped by max_requirement (when > 0) and
 // supply_cap (kNoSupplyCap = none), then scaled by demand_scale (ceil).
+// A quotient at or above 2^63 takes the cap; with no cap, or a scaled
+// result at or above 2^63, it throws check_error (as does NaN).
 // Shared by the ingestor, the batch-partition equivalence tests and the
 // bench's PR 8 reference path, so both paths quantize bit-identically.
 [[nodiscard]] auction::units quantize_demand(double accumulated,
@@ -109,7 +111,8 @@ class round_ingestor {
   // serial in batch order. Callable any number of times per round — the
   // stream does not have to arrive as one batch; sums are order-exact per
   // microservice, so splitting a batch at any point is byte-identical to
-  // accumulating it whole.
+  // accumulating it whole. Every service_demand must be finite and >= 0
+  // (check_error otherwise), as must add_demand/add_demands amounts.
   ECRS_HOT void accumulate(std::span<const workload::request> batch);
 
   // Estimator-driven flavour: add `amount` resource-seconds of estimated

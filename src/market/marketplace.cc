@@ -89,8 +89,7 @@ void marketplace::run_round(const auction::regional_instance& round,
     requests_.push_back(std::move(m));
   });
 
-  // 3. Spillover re-auctions (parallel assembly, serial reduction);
-  // grants go back into the mailbox.
+  // 3. Spillover re-auctions, serial; grants go back into the mailbox.
   const auto spill_start = std::chrono::steady_clock::now();
   spill_stage_.run(*topo_,
                    std::span<const auction::single_stage_instance>(
@@ -98,7 +97,7 @@ void marketplace::run_round(const auction::regional_instance& round,
                    std::span<const shard>(shards_),
                    std::span<const shard_round>(out.shards),
                    std::span<const message>(requests_), options_.spillover,
-                   options_.threads, po_, out.spillover);
+                   po_, out.spillover);
   timing_.spill_ms = ms_since(spill_start);
   timing_.spill_assembly_ms = spill_stage_.assembly_ms();
 

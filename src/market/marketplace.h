@@ -35,10 +35,10 @@ namespace ecrs::market {
 struct marketplace_options {
   shard_options shard;            // per-region session configuration
   spillover_options spillover;    // cross-region re-auction stage
-  // Worker threads for the shard fan-out and the spillover candidate
-  // assembly: 1 = serial on the calling thread, 0 = the shared pool at
-  // hardware width, k = at most k workers. Results are identical for
-  // every setting.
+  // Worker threads for the shard fan-out (spillover always runs serially
+  // on the calling thread): 1 = serial, 0 = the shared pool at hardware
+  // width, k = at most k workers. Results are identical for every
+  // setting.
   std::size_t threads = 0;
 };
 
@@ -48,7 +48,7 @@ struct marketplace_options {
 struct marketplace_timing {
   double shard_ms = 0.0;           // parallel local-round fan-out
   double spill_ms = 0.0;           // whole spillover stage
-  double spill_assembly_ms = 0.0;  // candidate assembly within spillover
+  double spill_assembly_ms = 0.0;  // helper preparation within spillover
 };
 
 // One marketplace round, all regions.
@@ -86,9 +86,8 @@ class marketplace {
   // Allocation-reusing flavour: clears and refills `out`'s vectors keeping
   // their capacity. Bit-identical to the value overload. With warm shard
   // sessions (payment_threads == 1) the steady-state round stays off the
-  // allocator end to end: spill requests are spans into the round records,
-  // spillover candidates live in the stage's arena, and every pooled
-  // buffer reuses its capacity.
+  // allocator end to end: spill requests are spans into the round records
+  // and every pooled buffer, spillover's included, reuses its capacity.
   void run_round(const auction::regional_instance& round,
                  marketplace_round& out);
 
@@ -117,7 +116,7 @@ class marketplace {
   std::uint32_t round_ = 0;
   // Coordinator scratch: requests drained from the mailbox each round.
   std::vector<message> requests_;
-  // Persistent spillover stage: candidate arena, pooled re-auction
+  // Persistent spillover stage: per-region indexes, pooled re-auction
   // storage, SSAM scratch — reused across rounds.
   spillover_stage spill_stage_;
   marketplace_timing timing_;

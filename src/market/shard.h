@@ -68,8 +68,7 @@ class shard {
   // nothing in `result` and has capacity for the bid's participation
   // weight. Replaces the contents of `out` in ascending bid-index order
   // (deterministic). `won_scratch` is caller-owned per-seller scratch so
-  // repeated rounds stay off the allocator once warm; const because the
-  // spillover stage calls this from the parallel fan-out — only the
+  // repeated rounds stay off the allocator once warm; const — only the
   // caller-owned scratch is written.
   ECRS_HOT void spare_offers(const auction::single_stage_instance& local,
                              const shard_round& result,

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/thread_pool.h"
 
 namespace ecrs::market {
 namespace {
@@ -40,54 +39,13 @@ void seller_best_index::build(const auction::single_stage_instance& local,
   std::sort(sellers_.begin(), sellers_.end());
 }
 
-void spillover_stage::fill_request_rows(
-    const edge::topology& topo,
-    std::span<const auction::single_stage_instance> locals,
-    const spillover_options& options, request_slot& slot,
-    std::size_t deficits) const {
-  candidate* row = slot.rows;
-  for (std::uint32_t si = slot.seg_begin; si < slot.seg_end; ++si) {
-    const segment& seg = segments_[si];
-    const helper_slot& h = helpers_[seg.helper];
-    const auction::single_stage_instance& local = locals[seg.helper];
-    const double transfer =
-        topo.transfer_cost(slot.region, seg.helper, options.cost_per_ms);
-    for (const auction::seller_id s : h.best.sellers()) {
-      const std::size_t bi = h.best.best_bid(s);
-      const auction::bid& home = local.bids[bi];
-      const std::size_t cover = std::min(home.coverage_size(), deficits);
-      candidate& c = *row++;
-      c.helper_region = seg.helper;
-      c.seller = s;
-      c.bid_index = bi;
-      c.latency = seg.latency;
-      c.price = home.price +
-                transfer * static_cast<double>(
-                               home.amount *
-                               static_cast<auction::units>(cover));
-      c.amount = home.amount;
-      c.cover = static_cast<std::uint32_t>(cover);
-    }
-  }
-  ECRS_CHECK(row == slot.rows + slot.row_count);
-}
-
-void spillover_stage::resize_spill_bids(std::size_t n) {
-  // Shrunk-off bids park in the pool so their coverage vectors keep their
-  // capacity; growing takes them back (a vector move swaps pointers — no
-  // allocation once the pool is warm).
-  while (spill_.bids.size() > n) {
-    bid_pool_.push_back(std::move(spill_.bids.back()));
-    spill_.bids.pop_back();
-  }
-  while (spill_.bids.size() < n) {
-    if (!bid_pool_.empty()) {
-      spill_.bids.push_back(std::move(bid_pool_.back()));
-      bid_pool_.pop_back();
-    } else {
-      spill_.bids.emplace_back();
-    }
-  }
+auction::bid& spillover_stage::push_spill_bid() {
+  // Parked bids keep their coverage vectors' capacity; a vector move swaps
+  // pointers, so a warm pool never allocates.
+  if (bid_pool_.empty()) return spill_.bids.emplace_back();
+  spill_.bids.push_back(std::move(bid_pool_.back()));
+  bid_pool_.pop_back();
+  return spill_.bids.back();
 }
 
 void spillover_stage::run(
@@ -95,14 +53,22 @@ void spillover_stage::run(
     std::span<const auction::single_stage_instance> locals,
     std::span<const shard> shards, std::span<const shard_round> rounds,
     std::span<const message> requests, const spillover_options& options,
-    std::size_t threads, post_office& po, spillover_outcome& out) {
-  ECRS_CHECK_MSG(shards.size() == locals.size() &&
-                     shards.size() == rounds.size(),
+    post_office& po, spillover_outcome& out) {
+  const std::size_t n = shards.size();
+  ECRS_CHECK_MSG(locals.size() == n && rounds.size() == n,
                  "one shard, local instance and round outcome per region");
-  ECRS_CHECK_MSG(topo.clouds() >= shards.size(),
-                 "topology must cover every region");
+  ECRS_CHECK_MSG(topo.clouds() >= n, "topology must cover every region");
   ECRS_CHECK_MSG(options.cost_per_ms >= 0.0 && options.max_latency >= 0.0,
                  "spillover surcharge and latency budget must be >= 0");
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const message& req = requests[i];
+    ECRS_CHECK_MSG(req.type == message::kind::spill_request,
+                   "spillover expects only spill_request mail");
+    ECRS_CHECK_MSG(req.from < n, "spill request from unknown region");
+    ECRS_CHECK_MSG(i == 0 || requests[i - 1].from < req.from,
+                   "spill requests must arrive in ascending region order");
+    ECRS_CHECK_MSG(!req.deficits.empty(), "empty spill request");
+  }
 
   out.awards.clear();
   out.regions.clear();
@@ -113,128 +79,76 @@ void spillover_stage::run(
   assembly_ms_ = 0.0;
   if (requests.empty()) return;
 
+  // 1. Every region's spare offers, per-seller best index and claim flags
+  // (every region is a potential helper).
   const auto assembly_start = std::chrono::steady_clock::now();
-  const std::size_t n = shards.size();
-  const bool serial = threads == 1 || n == 1;
   helpers_.resize(n);
-
-  // A0: every region's spare offers and per-seller best index, in
-  // parallel. Disjoint slots; claims are reset here and only written by
-  // the serial phase B. (PR 8 computed offers lazily per visited helper —
-  // at scale every region is a potential helper anyway, and the build is
-  // one O(bids) pass per region.)
-  const auto prepare_helper = [&](std::size_t r) {
+  for (std::size_t r = 0; r < n; ++r) {
     helper_slot& h = helpers_[r];
     shards[r].spare_offers(locals[r], rounds[r], h.won_scratch, h.offers);
     h.best.build(locals[r], h.offers, shards[r].session().sellers());
     h.claimed.assign(shards[r].session().sellers(), 0);
-  };
-  if (serial) {
-    for (std::size_t r = 0; r < n; ++r) prepare_helper(r);
-  } else {
-    thread_pool::shared().parallel_for(n, prepare_helper, threads);
-  }
-
-  // Serial pre-pass: size each request's candidate row block (every
-  // neighbor in budget with at least one spare seller — the max_regions
-  // cap is claim-dependent and applied in phase B) and carve the rows
-  // from the round arena.
-  arena_.reset();
-  segments_.clear();
-  slots_.clear();
-  slots_.resize(requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const message& req = requests[i];
-    ECRS_CHECK_MSG(req.type == message::kind::spill_request,
-                   "spillover expects only spill_request mail");
-    ECRS_CHECK_MSG(req.from < n, "spill request from unknown region");
-    ECRS_CHECK_MSG(i == 0 || requests[i - 1].from < req.from,
-                   "spill requests must arrive in ascending region order");
-    ECRS_CHECK_MSG(!req.deficits.empty(), "empty spill request");
-    request_slot& slot = slots_[i];
-    slot.region = req.from;
-    slot.seg_begin = static_cast<std::uint32_t>(segments_.size());
-    std::uint32_t rows = 0;
-    for (const edge::neighbor& nb :
-         topo.neighbors_by_latency(req.from, options.max_latency)) {
-      if (nb.region >= n) continue;  // topology may be wider
-      const std::size_t count = helpers_[nb.region].best.sellers().size();
-      if (count == 0) continue;
-      segments_.push_back({nb.region, nb.latency, rows,
-                           static_cast<std::uint32_t>(count)});
-      rows += static_cast<std::uint32_t>(count);
-    }
-    slot.seg_end = static_cast<std::uint32_t>(segments_.size());
-    slot.row_count = rows;
-    slot.rows = rows > 0 ? arena_.alloc_array<candidate>(rows) : nullptr;
-  }
-
-  // A1: fill every request's candidate rows in parallel. Pure function of
-  // A0 output and the topology; each request writes only its own block.
-  const auto fill = [&](std::size_t i) {
-    fill_request_rows(topo, locals, options, slots_[i],
-                      requests[i].deficits.size());
-  };
-  if (serial || requests.size() == 1) {
-    for (std::size_t i = 0; i < requests.size(); ++i) fill(i);
-  } else {
-    thread_pool::shared().parallel_for(requests.size(), fill, threads);
   }
   assembly_ms_ = ms_since(assembly_start);
 
-  // B: serial reduction in ascending requesting region order.
+  // 2. One re-auction per request, ascending requesting region.
   covered_offsets_.clear();
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const message& req = requests[i];
-    const request_slot& slot = slots_[i];
+  for (const message& req : requests) {
     const std::size_t deficits = req.deficits.size();
-
     region_spill tally;
-    tally.region = slot.region;
-    for (const spill_deficit& d : req.deficits) tally.requested += d.missing;
-
-    // Closest helper regions first, at most options.max_regions of them
-    // that still contribute a candidate, one bid per unclaimed seller —
-    // the same walk PR 8 did, minus the per-offer rescans.
-    active_.clear();
-    std::size_t helper_regions = 0;
-    for (std::uint32_t si = slot.seg_begin; si < slot.seg_end; ++si) {
-      if (helper_regions == options.max_regions) break;
-      const segment& seg = segments_[si];
-      const std::vector<char>& claimed = helpers_[seg.helper].claimed;
-      const std::size_t before = active_.size();
-      for (std::uint32_t k = seg.begin; k < seg.begin + seg.count; ++k) {
-        if (claimed[slot.rows[k].seller] != 0) continue;
-        active_.push_back(k);
-      }
-      if (active_.size() > before) ++helper_regions;
-    }
-
-    // Build the re-auction: one demander per deficit entry, one bid per
-    // candidate. A candidate keeps its home bid's amount and coverage
-    // SIZE, but covers deficit slots rotated by its own index — spreading
-    // coverage across the deficit deterministically instead of every
-    // candidate piling onto slot 0. Seller ids are candidate indices
-    // (each candidate is a distinct real seller, so constraint (9) is
-    // vacuous here by construction).
+    tally.region = req.from;
     spill_.requirements.clear();
     for (const spill_deficit& d : req.deficits) {
+      tally.requested += d.missing;
       spill_.requirements.push_back(d.missing);
     }
-    resize_spill_bids(active_.size());
-    for (std::size_t a = 0; a < active_.size(); ++a) {
-      const candidate& c = slot.rows[active_[a]];
-      auction::bid& b = spill_.bids[a];
-      b.seller = static_cast<auction::seller_id>(a);
-      b.index = 0;
-      b.amount = c.amount;
-      b.price = c.price;
-      b.coverage.clear();
-      for (std::size_t k = 0; k < c.cover; ++k) {
-        b.coverage.push_back(
-            static_cast<auction::demander_id>((a + k) % deficits));
+
+    // Closest helper regions first, at most options.max_regions of them
+    // that still contribute a candidate, one bid per unclaimed seller: its
+    // cheapest spare bid, surcharged for the haul. A candidate keeps its
+    // home bid's amount and coverage SIZE, but covers deficit slots
+    // rotated by its own index — spreading coverage across the deficit
+    // deterministically instead of every candidate piling onto slot 0.
+    // Seller ids are candidate indices (each candidate is a distinct real
+    // seller, so constraint (9) is vacuous here by construction).
+    while (!spill_.bids.empty()) {
+      bid_pool_.push_back(std::move(spill_.bids.back()));
+      spill_.bids.pop_back();
+    }
+    candidates_.clear();
+    std::size_t helper_regions = 0;
+    for (const edge::neighbor& nb :
+         topo.neighbors_by_latency(req.from, options.max_latency)) {
+      if (helper_regions == options.max_regions) break;
+      if (nb.region >= n) continue;  // topology may be wider
+      const helper_slot& h = helpers_[nb.region];
+      const auction::single_stage_instance& local = locals[nb.region];
+      const double transfer =
+          topo.transfer_cost(req.from, nb.region, options.cost_per_ms);
+      const std::size_t before = candidates_.size();
+      for (const auction::seller_id s : h.best.sellers()) {
+        if (h.claimed[s] != 0) continue;
+        const std::size_t bi = h.best.best_bid(s);
+        const auction::bid& home = local.bids[bi];
+        const std::size_t cover = std::min(home.coverage_size(), deficits);
+        const std::size_t a = candidates_.size();
+        candidates_.push_back({nb.region, s, bi, nb.latency});
+        auction::bid& b = push_spill_bid();
+        b.seller = static_cast<auction::seller_id>(a);
+        b.index = 0;
+        b.amount = home.amount;
+        b.price = home.price +
+                  transfer * static_cast<double>(
+                                 home.amount *
+                                 static_cast<auction::units>(cover));
+        b.coverage.clear();
+        for (std::size_t k = 0; k < cover; ++k) {
+          b.coverage.push_back(
+              static_cast<auction::demander_id>((a + k) % deficits));
+        }
+        std::sort(b.coverage.begin(), b.coverage.end());
       }
-      std::sort(b.coverage.begin(), b.coverage.end());
+      if (candidates_.size() > before) ++helper_regions;
     }
 
     auction::run_ssam(spill_, options.stage, &scratch_, result_);
@@ -243,12 +157,11 @@ void spillover_stage::run(
     for (const auction::winning_bid& w : result_.winners) {
       const auction::bid& sb = spill_.bids[w.bid_index];
       remaining_.apply(sb);
-      const candidate& c = slot.rows[active_[sb.seller]];
-      const auto weight = static_cast<auction::units>(sb.coverage.size());
+      const candidate& c = candidates_[sb.seller];
       helpers_[c.helper_region].claimed[c.seller] = 1;
 
       spill_award award;
-      award.demand_region = slot.region;
+      award.demand_region = req.from;
       award.helper_region = c.helper_region;
       award.seller = c.seller;
       award.bid_index = c.bid_index;
@@ -274,9 +187,9 @@ void spillover_stage::run(
       grant.from = po.coordinator();
       grant.to = c.helper_region;
       grant.seller = c.seller;
-      grant.weight = weight;
+      grant.weight = static_cast<auction::units>(sb.coverage.size());
       grant.price = sb.price;
-      grant.buyer = slot.region;
+      grant.buyer = req.from;
       po.post(grant);
     }
 
@@ -290,18 +203,6 @@ void spillover_stage::run(
     const auto [offset, count] = covered_offsets_[a];
     out.awards[a].covered = {out.covered_pool.data() + offset, count};
   }
-}
-
-void run_spillover(const edge::topology& topo,
-                   std::span<const auction::single_stage_instance> locals,
-                   std::span<const shard> shards,
-                   std::span<const shard_round> rounds,
-                   std::span<const message> requests,
-                   const spillover_options& options, post_office& po,
-                   spillover_outcome& out) {
-  spillover_stage stage;
-  stage.run(topo, locals, shards, rounds, requests, options, /*threads=*/1,
-            po, out);
 }
 
 }  // namespace ecrs::market

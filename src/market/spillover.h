@@ -12,44 +12,38 @@
 // the helper shards (which charge the sale against seller capacity via
 // msoa_session::consume_external).
 //
-// Determinism contract (unchanged from the all-serial PR 8 stage, which
-// this reproduces bit for bit): uncovered regions are processed in
-// ascending region id (the post office's drain order for coordinator
-// mail), candidates are enumerated in ascending (latency, helper region
-// id, seller id) order, and a seller sells into at most one foreign region
+// Determinism contract: uncovered regions are processed in ascending
+// region id (the post office's drain order for coordinator mail),
+// candidates are enumerated in ascending (latency, helper region id,
+// seller id) order, and a seller sells into at most one foreign region
 // per marketplace round.
 //
-// Scale structure (PR 9): the stage is split into claim-independent
-// assembly and a serial reduction.
+// The stage is one serial pass on the calling thread:
 //
-//   A0  per HELPER region, parallel, disjoint slots: collect the round's
-//       spare offers and build a seller_best_index (cheapest spare bid per
-//       seller — the old per-offer find_if scan was O(offers · sellers)).
-//   A1  per REQUESTING region, parallel, disjoint arena rows: walk the
-//       neighbor list and materialize every potential candidate (helper,
-//       seller, best bid, latency, surcharged price) into rows carved from
-//       a common/arena. Claims are NOT consulted here — a claim only ever
-//       removes a whole seller, so the per-seller best is claim-invariant.
-//   B   serial reduction, ascending requesting region: filter claimed
-//       sellers, apply the max_regions cap (a helper whose sellers are all
-//       claimed does not count, exactly like the lazy PR 8 walk), build
-//       the re-auction from pooled storage, award, claim, post grants.
+//   1. per region: collect the round's spare offers, build its
+//      seller_best_index (cheapest spare bid per seller) and clear its
+//      claim flags;
+//   2. per spill request, ascending region: walk the neighbor list,
+//      append every unclaimed seller's surcharged best bid to the pooled
+//      re-auction (a helper region counts toward max_regions only if it
+//      contributed a candidate), run SSAM, claim the winners' sellers and
+//      post their grants.
 //
-// The steady-state round allocates nothing here: candidate rows live in
-// the stage's arena (rewound every round, chunks kept), the re-auction
-// instance/bids/result/scratch are pooled across rounds, and awards write
-// covered ids into one pool per outcome.
+// The steady-state round allocates nothing here: the per-region indexes,
+// the candidate vector and the re-auction instance/bids/result/scratch
+// are pooled across rounds, and awards write covered ids into one pool
+// per outcome.
 #pragma once
 
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "auction/bid.h"
 #include "auction/ssam.h"
 #include "common/annotations.h"
-#include "common/arena.h"
 #include "edge/topology.h"
 #include "market/mailbox.h"
 #include "market/shard.h"
@@ -139,79 +133,48 @@ class seller_best_index {
 
 // The spillover stage with persistent cross-round storage. One instance
 // serves one marketplace (or test harness); rounds reuse every buffer, so
-// the steady state allocates nothing. run() is bit-identical to the PR 8
-// serial stage at every `threads` value.
+// the steady state allocates nothing.
 class spillover_stage {
  public:
   // `locals`/`shards`/`rounds` are the regions' round instances, shard
   // state and local outcomes; `requests` the coordinator's drained
-  // spill_request mail in ascending origin-region order. `threads` follows
-  // marketplace_options::threads (1 = serial on the calling thread, 0 =
-  // shared pool at hardware width, k = at most k workers). Posts one
+  // spill_request mail in ascending origin-region order. Posts one
   // spill_grant per award to `po`; refills `out` (capacity reused).
   void run(const edge::topology& topo,
            std::span<const auction::single_stage_instance> locals,
            std::span<const shard> shards, std::span<const shard_round> rounds,
            std::span<const message> requests, const spillover_options& options,
-           std::size_t threads, post_office& po, spillover_outcome& out);
+           post_office& po, spillover_outcome& out);
 
-  // Wall time the last run() spent in candidate assembly (phases A0 + A1),
+  // Wall time the last run() spent preparing the helper regions (step 1),
   // milliseconds. Perf telemetry only — never part of the outcome.
   [[nodiscard]] double assembly_ms() const { return assembly_ms_; }
 
  private:
-  // One potential candidate, fully priced. Claim-independent: phase B
-  // drops rows of claimed sellers without re-deriving anything.
+  // Where re-auction bid i came from: candidates_[i].
   struct candidate {
     std::uint32_t helper_region = 0;
     auction::seller_id seller = 0;  // helper-local
     std::size_t bid_index = 0;      // into the helper's round instance
     double latency = 0.0;
-    double price = 0.0;             // home ask + backhaul surcharge
-    auction::units amount = 0;      // units per covered deficit slot
-    std::uint32_t cover = 0;        // deficit slots the bid spans
   };
-  // One helper region's contribution to one request: a run of `count`
-  // candidate rows starting at `begin` in the request's row block.
-  struct segment {
-    std::uint32_t helper = 0;
-    double latency = 0.0;
-    std::uint32_t begin = 0;
-    std::uint32_t count = 0;
-  };
-  // Per-request assembly product: the arena row block plus its segments.
-  struct request_slot {
-    std::uint32_t region = 0;
-    candidate* rows = nullptr;  // arena-carved, row_count entries
-    std::uint32_t row_count = 0;
-    std::uint32_t seg_begin = 0;  // into segments_
-    std::uint32_t seg_end = 0;
-  };
-  // Per-helper-region round state (disjoint parallel slots in A0).
+  // Per-region round state.
   struct helper_slot {
     std::vector<spare_offer> offers;
     seller_best_index best;
-    std::vector<char> claimed;      // serial phase B only
+    std::vector<char> claimed;
     std::vector<char> won_scratch;  // shard::spare_offers scratch
   };
 
-  ECRS_HOT void fill_request_rows(
-      const edge::topology& topo,
-      std::span<const auction::single_stage_instance> locals,
-      const spillover_options& options, request_slot& slot,
-      std::size_t deficits) const;
-  // Grow/shrink the pooled re-auction bid vector without destroying bids
-  // (shrunk-off bids park in bid_pool_ keeping their coverage capacity).
-  void resize_spill_bids(std::size_t n);
+  // Append a re-auction bid, reusing a parked one (and its coverage
+  // capacity) when the pool has any.
+  auction::bid& push_spill_bid();
 
   std::vector<helper_slot> helpers_;
-  std::vector<request_slot> slots_;
-  std::vector<segment> segments_;
-  arena arena_;  // candidate rows; rewound every round, chunks kept
+  std::vector<candidate> candidates_;  // one request's re-auction bids
   // Pooled re-auction storage.
   auction::single_stage_instance spill_;
   std::vector<auction::bid> bid_pool_;
-  std::vector<std::uint32_t> active_;  // unclaimed row indices, one request
   auction::coverage_state remaining_;
   auction::ssam_scratch scratch_;
   auction::ssam_result result_;
@@ -220,16 +183,5 @@ class spillover_stage {
   std::vector<std::pair<std::size_t, std::size_t>> covered_offsets_;
   double assembly_ms_ = 0.0;
 };
-
-// Run the spillover stage for one marketplace round on a throwaway
-// spillover_stage (serial assembly). Kept for tests and one-shot callers;
-// the marketplace owns a persistent stage instead so rounds reuse storage.
-void run_spillover(const edge::topology& topo,
-                   std::span<const auction::single_stage_instance> locals,
-                   std::span<const shard> shards,
-                   std::span<const shard_round> rounds,
-                   std::span<const message> requests,
-                   const spillover_options& options, post_office& po,
-                   spillover_outcome& out);
 
 }  // namespace ecrs::market

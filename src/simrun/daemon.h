@@ -26,7 +26,8 @@
 // buffers, estimator history, ingest accumulators, shard warm-start
 // caches and spillover pools all reuse their storage, so the per-round
 // observe → estimate → ingest → auction chain performs zero heap
-// allocations once warm (bench/daemon_throughput.cc gates this).
+// allocations once warm (tests/daemon_test.cc gates the observe → ingest
+// part through the chain probe).
 //
 // Checkpoint/restore: save() at any round boundary captures the complete
 // dynamic state (generator rng, per-microservice queues with exact FP
@@ -97,8 +98,8 @@ class daemon {
   // Steady-state instrumentation: invoked with `true` immediately before
   // the round's observe -> estimate -> ingest chain and with `false` right
   // after the round's instances are finalized (before the auction).
-  // bench/daemon_throughput brackets an allocation counter here to gate
-  // the chain's allocation-free steady state.
+  // tests/daemon_test.cc brackets an allocation counter here to gate the
+  // chain's allocation-free steady state.
   using chain_probe = std::function<void(bool entering)>;
 
   explicit daemon(daemon_setup setup);

@@ -39,7 +39,7 @@ TEST_P(LazyGreedySweep, MatchesEagerGreedyExactly) {
   cfg.bids_per_seller = 1 + static_cast<std::size_t>(gen.uniform_int(0, 3));
   const auto inst = random_instance(cfg, gen);
   const auto eager = eager_greedy_selection(inst);
-  const auto lazy = lazy_greedy_selection(inst);
+  const auto lazy = greedy_selection(inst);
   EXPECT_EQ(lazy, eager);
 }
 
@@ -52,22 +52,22 @@ TEST(LazyGreedy, HandlesTiesLikeEager) {
   inst.requirements = {4};
   inst.bids = {make_bid(0, {0}, 4, 10.0), make_bid(1, {0}, 4, 10.0),
                make_bid(2, {0}, 4, 10.0)};
-  EXPECT_EQ(lazy_greedy_selection(inst), eager_greedy_selection(inst));
-  EXPECT_EQ(lazy_greedy_selection(inst), (std::vector<std::size_t>{0}));
+  EXPECT_EQ(greedy_selection(inst), eager_greedy_selection(inst));
+  EXPECT_EQ(greedy_selection(inst), (std::vector<std::size_t>{0}));
 }
 
 TEST(LazyGreedy, EmptyRequirementsSelectNothing) {
   single_stage_instance inst;
   inst.requirements = {0};
   inst.bids = {make_bid(0, {0}, 1, 1.0)};
-  EXPECT_TRUE(lazy_greedy_selection(inst).empty());
+  EXPECT_TRUE(greedy_selection(inst).empty());
 }
 
 TEST(LazyGreedy, StopsOnUnsatisfiableInstances) {
   single_stage_instance inst;
   inst.requirements = {100};
   inst.bids = {make_bid(0, {0}, 2, 1.0), make_bid(1, {0}, 2, 2.0)};
-  const auto lazy = lazy_greedy_selection(inst);
+  const auto lazy = greedy_selection(inst);
   EXPECT_EQ(lazy, eager_greedy_selection(inst));
   EXPECT_EQ(lazy.size(), 2u);  // takes everything useful, then stops
 }
@@ -79,7 +79,7 @@ TEST(LazyGreedy, LargeInstanceAgreesWithEager) {
   cfg.demanders = 8;
   cfg.bids_per_seller = 2;
   const auto inst = random_instance(cfg, gen);
-  EXPECT_EQ(lazy_greedy_selection(inst), eager_greedy_selection(inst));
+  EXPECT_EQ(greedy_selection(inst), eager_greedy_selection(inst));
 }
 
 // ------------------------------------------------------- early-exit probes

@@ -3,12 +3,17 @@
 // scenario programs (diurnal load, flash crowds, seller churn) and the
 // checkpoint/restore contract — a daemon restored at ANY round boundary
 // replays the remaining horizon byte-identically to the straight-through
-// run, at any marketplace thread count.
+// run, at any marketplace thread count — and the steady-state allocation
+// gate: warm rounds run the observe -> estimate -> ingest chain without a
+// single heap allocation.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
 #include <fstream>
+#include <new>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,6 +23,32 @@
 #include "common/checkpoint.h"
 #include "harness/internal.h"
 #include "simrun/daemon.h"
+
+namespace {
+
+// Process-wide allocation counter: every operator new in this test binary
+// bumps it. Reads around the daemon's chain probe count the allocations of
+// one observe -> estimate -> ingest pass.
+std::atomic<std::uint64_t> g_allocations{0};
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace ecrs::simrun {
 namespace {
@@ -183,6 +214,33 @@ TEST(Daemon, ByteIdenticalAcrossMarketplaceThreadCounts) {
     EXPECT_EQ(serial[r], parallel[r]) << "round " << r + 1;
   }
   EXPECT_EQ(save_bytes(a), save_bytes(b));
+}
+
+TEST(Daemon, WarmObserveToIngestChainAllocatesNothing) {
+  daemon_setup setup = make_setup(10);
+  // Serial quantize and payments: the thread pool's task dispatch
+  // allocates, so the allocation-free contract is stated for this setup.
+  setup.ingest.threads = 1;
+  setup.market.shard.session.stage.payment_threads = 1;
+  daemon d(std::move(setup));
+  const std::uint64_t rounds = 8;
+  std::vector<std::uint64_t> chain_allocations;
+  chain_allocations.reserve(rounds);
+  std::uint64_t begin = 0;
+  d.set_chain_probe([&](bool entering) {
+    const std::uint64_t now = g_allocations.load(std::memory_order_relaxed);
+    if (entering) {
+      begin = now;
+    } else {
+      chain_allocations.push_back(now - begin);
+    }
+  });
+  d.run_rounds(rounds);
+  ASSERT_EQ(chain_allocations.size(), rounds);
+  EXPECT_GT(chain_allocations.front(), 0u) << "the counter never fired";
+  for (std::uint64_t r = 1; r < rounds; ++r) {
+    EXPECT_EQ(chain_allocations[r], 0u) << "warm round " << r + 1;
+  }
 }
 
 TEST(Daemon, CheckpointResumeByteIdenticalAtEveryRoundBoundary) {

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <thread>
 #include <utility>
@@ -17,6 +18,7 @@
 #include "auction/instance_gen.h"
 #include "auction/msoa.h"
 #include "common/check.h"
+#include "common/checkpoint.h"
 #include "common/rng.h"
 #include "edge/topology.h"
 #include "harness/experiments.h"
@@ -311,14 +313,15 @@ struct market_fixture {
   edge::topology topo = edge::topology::ring(1);
 };
 
-market_fixture spillover_market(std::size_t regions, std::size_t horizon) {
+market_fixture spillover_market(std::size_t regions, std::size_t horizon,
+                                double demand_scale = 1.3) {
   auction::online_config stage;
   stage.stage.sellers = 6;
   stage.stage.demanders = 3;
   stage.rounds = horizon;
   auction::regional_config regional;
   regional.regions = regions;
-  regional.demand_scale = 1.3;
+  regional.demand_scale = demand_scale;
   rng gen(21);
   market_fixture fx;
   fx.input = auction::random_regional_online_instance(stage, regional, gen);
@@ -333,16 +336,23 @@ market_fixture spillover_market(std::size_t regions, std::size_t horizon) {
   return fx;
 }
 
-std::vector<std::uint64_t> run_digest(const market_fixture& fx,
-                                      std::size_t threads) {
+marketplace fixture_marketplace(const market_fixture& fx, std::size_t threads,
+                                std::size_t max_regions) {
   marketplace_options options;
   options.threads = threads;
   options.shard.session.stage.payment_threads = 1;
+  options.spillover.max_regions = max_regions;
   std::vector<std::vector<auction::seller_profile>> sellers;
   for (const auto& region : fx.input.regions) {
     sellers.push_back(region.sellers);
   }
-  marketplace mkt(fx.topo, std::move(sellers), options);
+  return marketplace(fx.topo, std::move(sellers), options);
+}
+
+std::vector<std::uint64_t> run_digest(
+    const market_fixture& fx, std::size_t threads,
+    std::size_t max_regions = market::spillover_options{}.max_regions) {
+  marketplace mkt = fixture_marketplace(fx, threads, max_regions);
   std::vector<std::uint64_t> digest;
   marketplace_round result;
   for (const auto& round : fx.rounds) {
@@ -364,6 +374,45 @@ TEST(MarketplaceDeterminism, ByteIdenticalAcrossThreadCounts) {
     EXPECT_EQ(run_digest(fx, threads), reference)
         << "digest diverged at threads=" << threads;
   }
+}
+
+// FNV-1a over the digest words, serialized little-endian.
+std::uint64_t digest_hash(const std::vector<std::uint64_t>& digest) {
+  checkpoint_writer w;
+  for (const std::uint64_t word : digest) w.u64(word);
+  return fnv1a64(w.payload());
+}
+
+// Pins the spillover stage's output to fixed bytes: an 8-region ring
+// horizon with the helper cap at 2, in which the cap binds and, within one round,
+// two requesting regions buy from the same helper region (so the second
+// one sees the first one's seller claims).
+TEST(MarketplaceDeterminism, SpilloverMatchesGoldenDigest) {
+  constexpr std::uint64_t kGolden = 0xff4b3d183c65ceb7ULL;
+  constexpr std::size_t kCap = 2;
+  const market_fixture fx =
+      spillover_market(/*regions=*/8, /*horizon=*/3, /*demand_scale=*/1.7);
+
+  marketplace mkt = fixture_marketplace(fx, /*threads=*/1, kCap);
+  bool shared_helper = false;
+  marketplace_round result;
+  for (const auto& round : fx.rounds) {
+    mkt.run_round(round, result);
+    const auto& awards = result.spillover.awards;
+    for (std::size_t a = 0; a < awards.size(); ++a) {
+      for (std::size_t b = a + 1; b < awards.size(); ++b) {
+        shared_helper |= awards[a].helper_region == awards[b].helper_region &&
+                         awards[a].demand_region != awards[b].demand_region;
+      }
+    }
+  }
+  EXPECT_TRUE(shared_helper) << "no helper region served two requesters";
+  const std::vector<std::uint64_t> capped = run_digest(fx, 1, kCap);
+  EXPECT_NE(capped, run_digest(fx, 1, /*max_regions=*/8))
+      << "the max_regions cap never binds";
+
+  EXPECT_EQ(digest_hash(capped), kGolden);
+  EXPECT_EQ(digest_hash(run_digest(fx, 0, kCap)), kGolden);
 }
 
 TEST(MarketplaceDeterminism, MatchesSerialSessionComposition) {
@@ -521,82 +570,6 @@ TEST(Spillover, SellerBestIndexMatchesLinearScanOnFuzzedOffers) {
   }
 }
 
-// ------------------------------------------- streaming partitioner (PR 9)
-
-TEST(RegionMap, StreamingPartitionerMatchesBatchPartitionOnFuzz) {
-  rng gen(77);
-  market::streaming_partitioner streamer(1);
-  for (int trial = 0; trial < 120; ++trial) {
-    const auto regions =
-        static_cast<std::uint32_t>(gen.uniform_int(1, 5));
-    const auto demanders =
-        static_cast<std::size_t>(gen.uniform_int(0, 12));
-    const auto sellers = static_cast<std::size_t>(gen.uniform_int(1, 6));
-    const auto bids = static_cast<std::size_t>(gen.uniform_int(0, 15));
-
-    auction::single_stage_instance global;
-    std::vector<std::uint32_t> demander_region(demanders);
-    std::vector<std::uint32_t> seller_region(sellers);
-    for (std::size_t k = 0; k < demanders; ++k) {
-      demander_region[k] =
-          static_cast<std::uint32_t>(gen.uniform_int(0, regions - 1));
-      global.requirements.push_back(
-          static_cast<auction::units>(gen.uniform_int(0, 9)));
-    }
-    for (std::size_t s = 0; s < sellers; ++s) {
-      seller_region[s] =
-          static_cast<std::uint32_t>(gen.uniform_int(0, regions - 1));
-    }
-    for (std::size_t i = 0; i < bids && demanders > 0; ++i) {
-      auction::bid b;
-      b.seller = static_cast<auction::seller_id>(
-          gen.uniform_int(0, static_cast<std::int64_t>(sellers) - 1));
-      b.index = i;
-      for (std::size_t k = 0; k < demanders; ++k) {
-        if (gen.uniform_int(0, 2) == 0) {
-          b.coverage.push_back(static_cast<auction::demander_id>(k));
-        }
-      }
-      b.amount = static_cast<auction::units>(gen.uniform_int(1, 8));
-      b.price = static_cast<double>(gen.uniform_int(1, 50)) / 4.0;
-      global.bids.push_back(std::move(b));
-    }
-
-    const market::partitioned_instance batch =
-        market::partition(global, regions, seller_region, demander_region);
-
-    streamer = market::streaming_partitioner(regions);
-    streamer.begin();
-    for (std::size_t k = 0; k < demanders; ++k) {
-      streamer.add_demander(demander_region[k], global.requirements[k]);
-    }
-    for (std::size_t s = 0; s < sellers; ++s) {
-      streamer.add_seller(seller_region[s]);
-    }
-    for (const auction::bid& b : global.bids) streamer.add_bid(b);
-    const market::partitioned_instance streamed = streamer.finish();
-
-    ASSERT_EQ(streamed.shards.region_count(), batch.shards.region_count());
-    EXPECT_EQ(streamed.dropped_coverage, batch.dropped_coverage);
-    EXPECT_EQ(streamed.dropped_bids, batch.dropped_bids);
-    for (std::uint32_t r = 0; r < regions; ++r) {
-      const auto& want = batch.shards.regions[r];
-      const auto& got = streamed.shards.regions[r];
-      EXPECT_EQ(got.requirements, want.requirements) << "trial " << trial;
-      ASSERT_EQ(got.bids.size(), want.bids.size()) << "trial " << trial;
-      for (std::size_t i = 0; i < want.bids.size(); ++i) {
-        EXPECT_EQ(got.bids[i].seller, want.bids[i].seller);
-        EXPECT_EQ(got.bids[i].index, want.bids[i].index);
-        EXPECT_EQ(got.bids[i].coverage, want.bids[i].coverage);
-        EXPECT_EQ(got.bids[i].amount, want.bids[i].amount);
-        EXPECT_EQ(got.bids[i].price, want.bids[i].price);
-      }
-      EXPECT_EQ(streamed.map.sellers_in(r), batch.map.sellers_in(r));
-      EXPECT_EQ(streamed.map.demanders_in(r), batch.map.demanders_in(r));
-    }
-  }
-}
-
 // ------------------------------------------------- round_ingestor (PR 9)
 
 market::ingest_config small_ingest_config() {
@@ -648,6 +621,30 @@ TEST(Ingest, QuantizeDemandClampsThenScales) {
   icfg.demand_scale = 1.25;  // applied after both clamps, ceil
   EXPECT_EQ(market::quantize_demand(7.9, icfg, 2), 3);
   EXPECT_EQ(market::quantize_demand(7.9, icfg, market::kNoSupplyCap), 4);
+}
+
+TEST(Ingest, RejectsNonFiniteDemandAndCapsHugeDemandBeforeCasting) {
+  market::round_ingestor ing(small_ingest_config(), small_standing());
+  EXPECT_THROW(ing.add_demand(0, std::numeric_limits<double>::infinity()),
+               check_error);
+  std::vector<double> dense(5, 1.0);
+  dense[3] = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(ing.add_demands(dense), check_error);
+  const std::vector<workload::request> bad = {
+      request_for(2, std::numeric_limits<double>::quiet_NaN())};
+  EXPECT_THROW(ing.accumulate(bad), check_error);
+
+  market::ingest_config icfg;
+  icfg.max_requirement = 5;
+  EXPECT_EQ(market::quantize_demand(1e300, icfg, market::kNoSupplyCap), 5);
+  EXPECT_EQ(market::quantize_demand(1e300, icfg, 3), 3);
+  icfg.max_requirement = 0;
+  EXPECT_THROW(market::quantize_demand(1e300, icfg, market::kNoSupplyCap),
+               check_error);
+  // Below 2^53 the cast is exact, as it always was.
+  EXPECT_EQ(market::quantize_demand(9007199254740991.0, icfg,
+                                    market::kNoSupplyCap),
+            9007199254740991);
 }
 
 TEST(Ingest, PlacementAndSupplyCaps) {
