@@ -1,22 +1,21 @@
-// Before/after numbers for BENCH_pr4.json / BENCH_pr6.json: the compiled
-// CSR instance layout (auction/compiled.h) and the MSOA warm-start cache
-// vs. the PR 3 bid-vector path (ssam_options::legacy_reference), plus the
-// PR 6 SIMD kernel micro-lanes and the allocation-free steady-state path.
+// Lanes for BENCH_pr4.json / BENCH_pr6.json: the compiled CSR instance
+// layout (auction/compiled.h) and the MSOA warm-start cache, plus the PR 6
+// SIMD kernel micro-lanes and the allocation-free steady-state path.
 //
 // Workloads, all with critical-value payments on one thread:
 //  - a standing-bid MSOA session (same bid vector every round, one demand
-//    entry re-drawn per round) over T rounds with n bids: legacy per-round
-//    path vs. compiled cold rounds (warm_start=false) vs. compiled +
-//    warm-start patching;
-//  - a single-shot run_ssam on the same stage size: legacy vs. compiled vs.
-//    the allocation-free into-API on a pre-compiled view;
+//    entry re-drawn per round) over T rounds with n bids: compiled cold
+//    rounds (warm_start=false) vs. compiled + warm-start patching;
+//  - a single-shot run_ssam on the same stage size: compiled vs. the
+//    allocation-free into-API on a pre-compiled view;
 //  - the cost of compile() itself, and allocations per session horizon /
 //    per steady-state critical-value call (expected 0.0);
 //  - the three ecrs::simd kernels on synthetic wide rows, forced-scalar vs.
 //    the best tier the CPU offers, with a bytes-touched/roofline report
 //    against measured memcpy bandwidth (the indexed kernels are gather
 //    bound, so "fraction of memcpy" is the honest ceiling).
-// A bitwise checksum cross-check aborts if any variant diverges.
+// Before timing, a bitwise checksum cross-check aborts unless the warm,
+// cold and eager-oracle (ssam_options::eager_reference) sessions agree.
 //
 // Flags:
 //   --trials=N    repeats per timing, mean/stddev reported (default 7)
@@ -289,17 +288,18 @@ int main(int argc, char** argv) {
   warm_opts.stage.self_audit = false;
   msoa_options cold_opts = warm_opts;
   cold_opts.warm_start = false;
-  msoa_options legacy_opts = warm_opts;
-  legacy_opts.stage.legacy_reference = true;
+  msoa_options reference_opts = warm_opts;
+  reference_opts.stage.eager_reference = true;
 
   // Bitwise cross-check before timing anything.
   const double check_warm = run_session(profiles, round_instances, warm_opts);
   const double check_cold = run_session(profiles, round_instances, cold_opts);
-  const double check_legacy =
-      run_session(profiles, round_instances, legacy_opts);
-  ECRS_CHECK_MSG(check_warm == check_cold && check_warm == check_legacy,
+  const double check_reference =
+      run_session(profiles, round_instances, reference_opts);
+  ECRS_CHECK_MSG(check_warm == check_cold && check_warm == check_reference,
                  "session variants diverged: warm " << check_warm << " cold "
-                     << check_cold << " legacy " << check_legacy);
+                     << check_cold << " eager_reference "
+                     << check_reference);
   {
     msoa_session probe(profiles, warm_opts);
     for (const auto& round : round_instances) (void)probe.run_round(round);
@@ -308,9 +308,6 @@ int main(int argc, char** argv) {
                        << " of " << rounds - 1 << " rounds warm");
   }
 
-  const timing session_legacy = time_ns(trials, [&] {
-    (void)run_session(profiles, round_instances, legacy_opts);
-  });
   const timing session_cold = time_ns(trials, [&] {
     (void)run_session(profiles, round_instances, cold_opts);
   });
@@ -319,18 +316,12 @@ int main(int argc, char** argv) {
   });
 
   // Single-shot run_ssam on the same stage size.
-  ssam_options stage_legacy;
-  stage_legacy.rule = payment_rule::critical_value;
-  stage_legacy.payment_threads = threads;
-  stage_legacy.self_audit = false;
-  stage_legacy.legacy_reference = true;
-  ssam_options stage_compiled = stage_legacy;
-  stage_compiled.legacy_reference = false;
+  ssam_options stage_compiled;
+  stage_compiled.rule = payment_rule::critical_value;
+  stage_compiled.payment_threads = threads;
+  stage_compiled.self_audit = false;
 
   ssam_scratch scratch;
-  const timing single_legacy = time_ns(trials, [&] {
-    (void)run_ssam(base, stage_legacy, &scratch);
-  });
   const timing single_compiled = time_ns(trials, [&] {
     (void)run_ssam(base, stage_compiled, &scratch);
   });
@@ -399,10 +390,8 @@ int main(int argc, char** argv) {
   std::printf("  \"bit_identical\": true,\n");
   std::printf("  \"simd_tier\": \"%s\",\n", simd::to_string(best_tier));
   std::printf("  \"results_ns_mean\": {\n");
-  print_result("MsoaSessionCriticalLegacy", session_legacy, true);
   print_result("MsoaSessionCriticalCold", session_cold, true);
   print_result("MsoaSessionCriticalWarm", session_warm, true);
-  print_result("SsamCriticalValueLegacy", single_legacy, true);
   print_result("SsamCriticalValueCompiled", single_compiled, true);
   print_result("SsamCriticalValueCompiledInto", single_into, true);
   print_result("CompileInstance", compile_cost, true);
@@ -428,12 +417,8 @@ int main(int argc, char** argv) {
                       memcpy_gbs, false);
   std::printf("  },\n");
   std::printf("  \"speedups\": {\n");
-  std::printf("    \"session_warm_over_legacy\": %.2f,\n",
-              session_legacy.mean_ns / session_warm.mean_ns);
   std::printf("    \"session_warm_over_cold\": %.2f,\n",
               session_cold.mean_ns / session_warm.mean_ns);
-  std::printf("    \"single_compiled_over_legacy\": %.2f,\n",
-              single_legacy.mean_ns / single_compiled.mean_ns);
   std::printf("    \"kernel_sum_min_simd_over_scalar\": %.2f,\n",
               sum_scalar.mean_ns / sum_simd.mean_ns);
   std::printf("    \"kernel_consume_min_simd_over_scalar\": %.2f,\n",

@@ -29,8 +29,8 @@ ecrs::auction::single_stage_instance make_instance(std::size_t sellers,
   return ecrs::auction::random_instance(cfg, gen);
 }
 
-// Before/after pair: the original eager O(n²·m) selection scan vs the lazy
-// heap that greedy_selection now routes through.
+// Before/after pair: the eager oracle's O(n²·m) selection scan over the bid
+// vectors vs the compiled selection loop greedy_selection routes through.
 void BM_SsamSelectionEager(benchmark::State& state) {
   const auto inst = make_instance(static_cast<std::size_t>(state.range(0)), 5, 2);
   for (auto _ : state) {
@@ -40,18 +40,17 @@ void BM_SsamSelectionEager(benchmark::State& state) {
 }
 BENCHMARK(BM_SsamSelectionEager)->RangeMultiplier(2)->Range(25, 400)->Complexity();
 
-void BM_SsamSelectionLazy(benchmark::State& state) {
+void BM_SsamSelectionCompiled(benchmark::State& state) {
   const auto inst = make_instance(static_cast<std::size_t>(state.range(0)), 5, 2);
   for (auto _ : state) {
     benchmark::DoNotOptimize(ecrs::auction::greedy_selection(inst));
   }
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK(BM_SsamSelectionLazy)->RangeMultiplier(2)->Range(25, 400)->Complexity();
+BENCHMARK(BM_SsamSelectionCompiled)->RangeMultiplier(2)->Range(25, 400)->Complexity();
 
-// Selection-only under the full mechanism, per selection_mode: `automatic`
-// resolves runner_up calls to the eager scan (the BENCH_pr2 regression fix),
-// `lazy` forces the heap path the old default used. Same winners either way.
+// Selection plus runner-up payments under the full mechanism: runner_up
+// calls run the compiled eager scan (the BENCH_pr2 regression fix).
 void BM_SsamRunnerUpAuto(benchmark::State& state) {
   const auto inst = make_instance(static_cast<std::size_t>(state.range(0)), 5, 2);
   for (auto _ : state) {
@@ -59,16 +58,6 @@ void BM_SsamRunnerUpAuto(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SsamRunnerUpAuto)->Arg(100)->Arg(400);
-
-void BM_SsamRunnerUpLazy(benchmark::State& state) {
-  const auto inst = make_instance(static_cast<std::size_t>(state.range(0)), 5, 2);
-  ecrs::auction::ssam_options opts;
-  opts.selection = ecrs::auction::selection_mode::lazy;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ecrs::auction::run_ssam(inst, opts));
-  }
-}
-BENCHMARK(BM_SsamRunnerUpLazy)->Arg(100)->Arg(400);
 
 // Allocation-reuse pair: the same mechanism call with and without a
 // persistent ssam_scratch (what msoa_session and the sweep engine thread
@@ -117,9 +106,9 @@ void BM_SsamCriticalValuePayments(benchmark::State& state) {
 BENCHMARK(BM_SsamCriticalValuePayments)->Arg(10)->Arg(25);
 
 // Before/after pair for the full critical-value mechanism at the paper's
-// largest single-round size (75 sellers × 5 bids): the legacy path (eager
-// rescans, full probe auctions, serial payments) vs the current default
-// (lazy heap, early-exit probes, parallel payments). Both runs are verified
+// largest single-round size (75 sellers × 5 bids): the eager oracle (eager
+// rescans, full probe auctions, serial payments) vs the compiled engine
+// (compiled selection, trajectory probes, parallel payments). Both runs are verified
 // to produce identical winner sequences and payments (the bisection
 // tolerance is shared) before timing starts.
 const ecrs::auction::single_stage_instance& critical_value_75x5_instance() {
@@ -127,17 +116,17 @@ const ecrs::auction::single_stage_instance& critical_value_75x5_instance() {
   return inst;
 }
 
-void verify_eager_lazy_equivalence(benchmark::State& state,
-                                   const ecrs::auction::ssam_result& eager,
-                                   const ecrs::auction::ssam_result& lazy) {
-  if (eager.winners.size() != lazy.winners.size()) {
-    state.SkipWithError("eager/lazy winner counts diverged");
+void verify_eager_compiled_equivalence(
+    benchmark::State& state, const ecrs::auction::ssam_result& eager,
+    const ecrs::auction::ssam_result& compiled) {
+  if (eager.winners.size() != compiled.winners.size()) {
+    state.SkipWithError("eager/compiled winner counts diverged");
     return;
   }
   for (std::size_t i = 0; i < eager.winners.size(); ++i) {
-    if (eager.winners[i].bid_index != lazy.winners[i].bid_index ||
-        eager.winners[i].payment != lazy.winners[i].payment) {
-      state.SkipWithError("eager/lazy winners or payments diverged");
+    if (eager.winners[i].bid_index != compiled.winners[i].bid_index ||
+        eager.winners[i].payment != compiled.winners[i].payment) {
+      state.SkipWithError("eager/compiled winners or payments diverged");
       return;
     }
   }
@@ -151,15 +140,16 @@ void BM_SsamCriticalValue75x5Eager(benchmark::State& state) {
   before.payment_threads = 1;
   ecrs::auction::ssam_options after;
   after.rule = ecrs::auction::payment_rule::critical_value;
-  verify_eager_lazy_equivalence(state, ecrs::auction::run_ssam(inst, before),
-                                ecrs::auction::run_ssam(inst, after));
+  verify_eager_compiled_equivalence(state,
+                                   ecrs::auction::run_ssam(inst, before),
+                                   ecrs::auction::run_ssam(inst, after));
   for (auto _ : state) {
     benchmark::DoNotOptimize(ecrs::auction::run_ssam(inst, before));
   }
 }
 BENCHMARK(BM_SsamCriticalValue75x5Eager);
 
-void BM_SsamCriticalValue75x5Lazy(benchmark::State& state) {
+void BM_SsamCriticalValue75x5Compiled(benchmark::State& state) {
   const auto& inst = critical_value_75x5_instance();
   ecrs::auction::ssam_options after;
   after.rule = ecrs::auction::payment_rule::critical_value;
@@ -167,7 +157,7 @@ void BM_SsamCriticalValue75x5Lazy(benchmark::State& state) {
     benchmark::DoNotOptimize(ecrs::auction::run_ssam(inst, after));
   }
 }
-BENCHMARK(BM_SsamCriticalValue75x5Lazy);
+BENCHMARK(BM_SsamCriticalValue75x5Compiled);
 
 void BM_ExactDp(benchmark::State& state) {
   const auto inst = make_instance(static_cast<std::size_t>(state.range(0)), 1, 2);

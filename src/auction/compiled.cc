@@ -32,7 +32,6 @@ void compiled_instance::compile(const single_stage_instance& instance) {
 
   seller_slots_ = 0;
   total_supply_ = 0;
-  price_bound_ = 1.0;
   for (const bid& b : instance.bids) {
     price_.push_back(b.price);
     amount_.push_back(b.amount);
@@ -45,7 +44,6 @@ void compiled_instance::compile(const single_stage_instance& instance) {
     seller_slots_ = std::max(seller_slots_,
                              static_cast<std::size_t>(b.seller) + 1);
     total_supply_ += b.amount * static_cast<units>(b.coverage_size());
-    price_bound_ = std::max(price_bound_, b.price);
   }
 
   // Distinct seller count (cached; the bid-vector API recomputes this).
@@ -64,53 +62,27 @@ void compiled_instance::compile(const single_stage_instance& instance) {
   for (demander_id k : cov_arena_) ++inv_off_[k + 1];
   for (std::size_t k = 0; k < ndem; ++k) inv_off_[k + 1] += inv_off_[k];
   inv_arena_.resize(cov_arena_.size());
-  {
-    // Reuse fresh_'s allocation? No — cursors are uint32; use a scoped
-    // borrow of dirty_ (same element type, unused during compile).
-    std::vector<std::uint32_t>& cursor = dirty_;
-    cursor.assign(inv_off_.begin(), inv_off_.end() - 1);
-    for (std::uint32_t i = 0; i < nbids; ++i) {
-      for (std::uint32_t j = cov_off_[i]; j < cov_off_[i + 1]; ++j) {
-        inv_arena_[cursor[cov_arena_[j]]++] = i;
-      }
+  inv_cursor_.assign(inv_off_.begin(), inv_off_.end() - 1);
+  for (std::uint32_t i = 0; i < nbids; ++i) {
+    for (std::uint32_t j = cov_off_[i]; j < cov_off_[i + 1]; ++j) {
+      inv_arena_[inv_cursor_[cov_arena_[j]]++] = i;
     }
-    cursor.clear();
   }
 
-  // Empty-state utilities and the price-sorted order.
+  // Empty-state utilities.
   util0_.clear();
   util0_.reserve(nbids);
-  order_.clear();
-  order_.reserve(nbids);
   for (std::uint32_t i = 0; i < nbids; ++i) {
-    const units utility = simd::sum_min_indexed(
+    util0_.push_back(simd::sum_min_indexed(
         requirements_.data(), cov_arena_.data() + cov_off_[i],
-        cov_off_[i + 1] - cov_off_[i], amount_[i]);
-    util0_.push_back(utility);
-    if (utility > 0) {
-      order_.push_back({price_[i] / static_cast<double>(utility), i,
-                        seller_[i]});
-    }
-  }
-  std::sort(order_.begin(), order_.end(), entry_ascending{});
-
-  dirty_.clear();
-  dirty_flag_.assign(nbids, 0);
-}
-
-ECRS_HOT void compiled_instance::mark_dirty(std::uint32_t i) {
-  if (!dirty_flag_[i]) {
-    dirty_flag_[i] = 1;
-    dirty_.push_back(i);
+        cov_off_[i + 1] - cov_off_[i], amount_[i]));
   }
 }
 
 ECRS_HOT void compiled_instance::set_price(std::size_t i, double p) {
   ECRS_CHECK(i < price_.size());
   ECRS_CHECK_MSG(p >= 0.0, "set_price: negative price");
-  if (price_[i] == p) return;
   price_[i] = p;
-  mark_dirty(static_cast<std::uint32_t>(i));
 }
 
 ECRS_HOT void compiled_instance::set_requirement(demander_id k,
@@ -124,51 +96,8 @@ ECRS_HOT void compiled_instance::set_requirement(demander_id k,
   for (const std::uint32_t* it = covering_begin(k); it != covering_end(k);
        ++it) {
     const std::uint32_t i = *it;
-    const units delta =
-        std::min(amount_[i], x) - std::min(amount_[i], old);
-    if (delta == 0) continue;
-    util0_[i] += delta;
-    mark_dirty(i);
+    util0_[i] += std::min(amount_[i], x) - std::min(amount_[i], old);
   }
-}
-
-ECRS_HOT void compiled_instance::refresh_order() {
-  if (dirty_.empty()) return;
-
-  // Stable compaction: drop the dirty bids' (now stale) entries while
-  // preserving the relative order of everything else.
-  std::size_t keep = 0;
-  for (const compiled_entry& e : order_) {
-    if (!dirty_flag_[e.idx]) order_[keep++] = e;
-  }
-  order_.resize(keep);
-
-  // Re-key the dirty bids that still contribute, sort just those, and
-  // merge. Keys are recomputed with the same division a cold compile()
-  // uses, and (key, idx) pairs are unique, so the merged order is
-  // bit-identical to a full re-sort.
-  fresh_.clear();
-  for (std::uint32_t i : dirty_) {
-    dirty_flag_[i] = 0;
-    if (util0_[i] > 0) {
-      fresh_.push_back({price_[i] / static_cast<double>(util0_[i]), i,
-                        seller_[i]});
-    }
-  }
-  dirty_.clear();
-  std::sort(fresh_.begin(), fresh_.end(), entry_ascending{});
-
-  order_tmp_.clear();
-  order_tmp_.reserve(order_.size() + fresh_.size());
-  std::merge(order_.begin(), order_.end(), fresh_.begin(), fresh_.end(),
-             std::back_inserter(order_tmp_), entry_ascending{});
-  order_.swap(order_tmp_);
-
-  // Prices may have moved in either direction: recompute the probe bound
-  // (O(bids), branch-free scan — the patched round runs many probes
-  // against it).
-  price_bound_ = 1.0;
-  for (double p : price_) price_bound_ = std::max(price_bound_, p);
 }
 
 // ----------------------------------------------------------- compiled_state
@@ -217,42 +146,6 @@ void scored_state::reset(const compiled_instance& c) {
   remaining_.resize(c.demander_count());
   util_.resize(c.bid_count());
   deficit_ = scored_reset(c, remaining_.data(), util_.data());
-  touched_.assign(c.bid_count(), 0);
-}
-
-ECRS_HOT units scored_state::apply(const compiled_instance& c, std::size_t w,
-                                   std::vector<std::uint32_t>& dirty) {
-  const std::size_t dirty_base = dirty.size();
-  const units amount = c.amount(w);
-  units gain = 0;
-  for (const demander_id* kp = c.coverage_begin(w); kp != c.coverage_end(w);
-       ++kp) {
-    const demander_id k = *kp;
-    const units before = remaining_[k];
-    const units used = std::min(amount, before);
-    if (used == 0) continue;
-    const units after = before - used;
-    remaining_[k] = after;
-    gain += used;
-    // Re-score exactly the bids touched by this demander's change.
-    for (const std::uint32_t* it = c.covering_begin(k);
-         it != c.covering_end(k); ++it) {
-      const std::uint32_t b = *it;
-      const units a = c.amount(b);
-      const units delta = std::min(a, before) - std::min(a, after);
-      if (delta == 0) continue;
-      util_[b] -= delta;
-      if (!touched_[b]) {
-        touched_[b] = 1;
-        dirty.push_back(b);
-      }
-    }
-  }
-  deficit_ -= gain;
-  for (std::size_t pos = dirty_base; pos < dirty.size(); ++pos) {
-    touched_[dirty[pos]] = 0;
-  }
-  return gain;
 }
 
 ECRS_HOT units scored_state::apply(const compiled_instance& c,

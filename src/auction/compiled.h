@@ -8,23 +8,22 @@
 //    into one contiguous demander-id arena (CSR over coverage sets);
 //  - an inverted index (demander -> bids covering it, also CSR), so
 //    applying a winner re-scores exactly the bids whose marginal utility
-//    actually changed (the scored_state the eager loop and the probe
+//    actually changed (the scored_state the selection loop and the probe
 //    trajectories run on), and requirement patches touch only the
 //    affected rows;
-//  - the empty-state marginal utilities U_ij(∅) and the price-sorted
-//    (initial ratio, bid) order — the lazy-selection heap seed and the
-//    critical-value probe seed, built once instead of per call;
+//  - the empty-state marginal utilities U_ij(∅), built once instead of
+//    per call;
 //  - cached instance-level scalars (distinct seller count, max seller id,
-//    total requirement, the probe price bound) that the bid-vector API
-//    recomputes per call.
+//    total requirement, total supply) that the bid-vector API recomputes
+//    per call.
 //
 // Warm-start patching (MSOA, §IV-E): across rounds of an online session
 // only per-seller price offsets ∇ = J + |S_ij|·ψ_i and the requirement
 // vector change. set_price / set_requirement update the affected rows in
-// place and mark them dirty; refresh_order() then restores the sorted
-// order with a stable partial re-sort (remove dirty entries, re-key, merge)
-// whose cost is proportional to what changed, not to |bids|. The result is
-// bit-identical to a cold compile() of the patched instance.
+// place (a requirement patch re-derives the initial utilities of the
+// covering bids only), so a patched view is bit-identical to a cold
+// compile() of the patched instance at a cost proportional to what
+// changed.
 //
 // All structures reuse their buffer capacity across compile() calls, so a
 // long-lived compiled_instance (ssam_scratch, msoa_session) stops hitting
@@ -41,40 +40,6 @@
 #include "common/simd.h"
 
 namespace ecrs::auction {
-
-// One candidate entry of the selection heap / probe seed: the bid's
-// cost-effectiveness key with its index and seller inlined so the hot loops
-// never chase a pointer back into the bid table.
-struct compiled_entry {
-  double key = 0.0;          // price / U_ij at key time
-  std::uint32_t idx = 0;     // bid row
-  seller_id seller = 0;
-};
-
-// (key, idx)-lexicographic order — the deterministic tie-break every
-// selection loop shares (seller is payload, never compared).
-[[nodiscard]] ECRS_HOT inline bool entry_less(const compiled_entry& a,
-                                              const compiled_entry& b) {
-  return a.key < b.key || (a.key == b.key && a.idx < b.idx);
-}
-
-// Comparator adapter for std::*_heap (min-heap on (key, idx)).
-struct entry_greater {
-  [[nodiscard]] ECRS_HOT bool operator()(const compiled_entry& a,
-                                         const compiled_entry& b) const {
-    return entry_less(b, a);
-  }
-};
-
-// Functor flavour for std::sort/std::merge — passing the free function by
-// name hands the algorithm a function pointer and blocks comparator
-// inlining, which roughly doubles compile()'s sort cost.
-struct entry_ascending {
-  [[nodiscard]] ECRS_HOT bool operator()(const compiled_entry& a,
-                                         const compiled_entry& b) const {
-    return entry_less(a, b);
-  }
-};
 
 class compiled_instance {
  public:
@@ -130,32 +95,25 @@ class compiled_instance {
   [[nodiscard]] units initial_utility(std::size_t i) const {
     return util0_[i];
   }
-  // Bids with positive initial utility sorted ascending by
-  // (price / U_ij(∅), bid index): the critical-value probe seed, and — a
-  // sorted array being a valid min-heap — the lazy-selection heap seed.
-  [[nodiscard]] const std::vector<compiled_entry>& order() const {
-    return order_;
-  }
   // Σ over bids of amount · |coverage| — the probe upper-bound supply.
   [[nodiscard]] units total_supply() const { return total_supply_; }
-  // max(1, max bid price): the other probe upper-bound factor.
-  [[nodiscard]] double price_bound() const { return price_bound_; }
+  // max(1, max bid price): the other probe upper-bound factor. An O(bids)
+  // scan, not a cache, so a price patch never leaves it stale (it is read
+  // once per critical-value payment).
+  [[nodiscard]] double price_bound() const {
+    double bound = 1.0;
+    for (double p : price_) bound = std::max(bound, p);
+    return bound;
+  }
 
   // ------------------------------------------------- warm-start patching
-  // Patch one bid's price / one demander's requirement in place. Both mark
-  // the affected bids dirty; call refresh_order() before running any
-  // auction on the patched view. set_requirement re-derives the initial
-  // utilities of the covering bids through the inverted index.
+  // Patch one bid's price / one demander's requirement in place; the view
+  // is then ready for the next auction. set_requirement re-derives the
+  // initial utilities of the covering bids through the inverted index.
   ECRS_HOT void set_price(std::size_t i, double p);
   ECRS_HOT void set_requirement(demander_id k, units x);
-  // Re-key the dirty bids and restore order() with a stable partial
-  // re-sort; O(dirty·log dirty + |order|) and allocation-free at steady
-  // state. The result is bit-identical to a cold compile().
-  ECRS_HOT void refresh_order();
 
  private:
-  void mark_dirty(std::uint32_t i);
-
   std::vector<double> price_;
   std::vector<units> amount_;
   std::vector<seller_id> seller_;
@@ -165,23 +123,18 @@ class compiled_instance {
   std::vector<std::uint32_t> inv_arena_; // bid ids, ascending per demander
   std::vector<units> util0_;
   std::vector<units> requirements_;
-  std::vector<compiled_entry> order_;
   units total_requirement_ = 0;
   units total_supply_ = 0;
-  double price_bound_ = 1.0;
   std::size_t seller_count_ = 0;
   std::size_t seller_slots_ = 0;
-  // Patch bookkeeping (reused buffers).
-  std::vector<std::uint32_t> dirty_;
-  std::vector<char> dirty_flag_;
-  std::vector<compiled_entry> fresh_;      // re-keyed dirty entries
-  std::vector<compiled_entry> order_tmp_;  // merge target
-  std::vector<char> seller_seen_;          // compile(): distinct count
+  // compile() scratch (reused buffers).
+  std::vector<std::uint32_t> inv_cursor_;  // inverted-index fill cursors
+  std::vector<char> seller_seen_;          // distinct seller count
 };
 
 // Remaining-requirement tracking over a compiled instance — the CSR
-// analogue of coverage_state, used by the probe replays and the
-// feasibility re-check. reset() is O(demanders) and allocation-free at
+// analogue of coverage_state, used by the feasibility re-checks (ssam.cc
+// and the audit). reset() is O(demanders) and allocation-free at
 // steady state.
 class compiled_state {
  public:
@@ -191,31 +144,12 @@ class compiled_state {
   [[nodiscard]] units deficit() const { return deficit_; }
   [[nodiscard]] units remaining(demander_id k) const { return remaining_[k]; }
 
-  // U_ij(E): walks the bid's CSR coverage slice. Defined inline — this is
-  // the per-pop recompute of the lazy selection loop and the probe replays.
-  // Rows below simd::kIndexedThreshold stay on the inlined scalar loop (the
-  // kernel dispatch costs more than a handful of iterations); longer rows
-  // go through the vectorized indexed-min kernel. Integer sums reorder
+  // Apply a winning bid; returns its marginal utility. Rows below
+  // simd::kIndexedThreshold stay on the inlined scalar loop (the kernel
+  // dispatch costs more than a handful of iterations); longer rows go
+  // through the vectorized consume kernel, whose gather/scatter relies on
+  // the coverage ids being distinct (CSR contract). Integer sums reorder
   // exactly, so the split is invisible in the result.
-  [[nodiscard]] ECRS_HOT units marginal_utility(const compiled_instance& c,
-                                                std::size_t i) const {
-    const units amount = c.amount(i);
-    const std::size_t len = c.coverage_size(i);
-    if (len >= simd::kIndexedThreshold) {
-      return simd::sum_min_indexed(remaining_.data(), c.coverage_begin(i),
-                                   len, amount);
-    }
-    units gain = 0;
-    for (const demander_id* k = c.coverage_begin(i); k != c.coverage_end(i);
-         ++k) {
-      gain += std::min(amount, remaining_[*k]);
-    }
-    return gain;
-  }
-
-  // Apply a winning bid; returns its marginal utility. Same short-row split
-  // as marginal_utility; the coverage ids are distinct (CSR contract), which
-  // the consume kernel's gather/scatter requires.
   // ecrs-lint: allow(nodiscard)
   ECRS_HOT units apply(const compiled_instance& c, std::size_t i) {
     const units amount = c.amount(i);
@@ -244,9 +178,8 @@ class compiled_state {
 // Selection-loop state that additionally keeps the *exact* current marginal
 // utility of every bid, maintained incrementally: apply() walks the
 // inverted index of each demander whose remaining requirement changed and
-// re-scores only the bids actually touched, reporting them (deduplicated)
-// so the selection heap can be repaired instead of rebuilt. utility() is
-// then O(1) where coverage_state::marginal_utility is O(|S_ij|).
+// re-scores only the bids actually touched. utility() is then O(1) where
+// coverage_state::marginal_utility is O(|S_ij|).
 class scored_state {
  public:
   void reset(const compiled_instance& c);
@@ -259,21 +192,13 @@ class scored_state {
   // Contiguous utility row, for the ratio_argmin kernel (common/simd.h).
   [[nodiscard]] const units* utilities_data() const { return util_.data(); }
 
-  // Apply winner w. Every bid whose utility changed is appended to `dirty`
-  // exactly once (w itself included). Returns w's marginal utility.
-  // ecrs-lint: allow(nodiscard)
-  ECRS_HOT units apply(const compiled_instance& c, std::size_t w,
-                       std::vector<std::uint32_t>& dirty);
-
-  // Same update without reporting which bids changed — skips the
-  // touched-flag bookkeeping for callers that re-read utilities directly.
+  // Apply winner w; returns its marginal utility.
   // ecrs-lint: allow(nodiscard)
   ECRS_HOT units apply(const compiled_instance& c, std::size_t w);
 
  private:
   std::vector<units> remaining_;
   std::vector<units> util_;
-  std::vector<char> touched_;
   units deficit_ = 0;
 };
 
@@ -281,9 +206,8 @@ class scored_state {
 // an arena (the per-winner probe slots, auction/ssam.cc) rather than in a
 // scored_state. `remaining` has demander_count() slots, `util` bid_count();
 // scored_reset fills them with the requirements / initial utilities and
-// returns the total requirement (the starting deficit). scored_apply is
-// scored_state::apply without dirty reporting: it consumes winner w's
-// coverage, maintains every exact utility through the inverted index, and
+// returns the total requirement (the starting deficit). scored_apply
+// consumes winner w's coverage, maintains every exact utility through the inverted index, and
 // returns w's marginal utility. scored_state delegates to these, so both
 // paths are one implementation.
 // Neither maintains a deficit — the caller tracks it from the returns.

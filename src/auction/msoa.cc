@@ -117,8 +117,7 @@ void msoa_session::run_round(const single_stage_instance& round,
                          static_cast<double>(weight));
   }
 
-  const bool reference =
-      options_.stage.eager_reference || options_.stage.legacy_reference;
+  const bool reference = options_.stage.eager_reference;
   const bool warm = options_.warm_start && !reference && cache_valid_ &&
                     round.requirements.size() == compiled_.demander_count() &&
                     topology_matches(compiled_, round, original_index_);
@@ -127,10 +126,9 @@ void msoa_session::run_round(const single_stage_instance& round,
   outcome.admitted_bids = original_index_.size();
   if (warm) {
     // Standing bids: patch the per-seller ψ offsets ∇ = J + |S_ij|·ψ_i and
-    // the demand vector in place (both no-ops where nothing moved), restore
-    // the sorted candidate order with the stable partial re-sort, and run
-    // on the cached view — no validate, no bid copies, no recompile. The
-    // patched view is bit-identical to a cold compile of the scaled round.
+    // the demand vector in place and run on the cached view — no
+    // validate, no bid copies, no recompile. The patched view is
+    // bit-identical to a cold compile of the scaled round.
     for (std::size_t j = 0; j < original_index_.size(); ++j) {
       const bid& b = round.bids[original_index_[j]];
       const auto weight = static_cast<units>(b.coverage_size());
@@ -140,7 +138,6 @@ void msoa_session::run_round(const single_stage_instance& round,
     for (demander_id k = 0; k < round.requirements.size(); ++k) {
       compiled_.set_requirement(k, round.requirements[k]);
     }
-    compiled_.refresh_order();
     ++warm_rounds_;
     run_ssam(compiled_, options_.stage, &scratch_, outcome.stage);
   } else {

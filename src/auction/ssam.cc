@@ -1,10 +1,8 @@
 #include "auction/ssam.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <optional>
-#include <utility>
 
 #include "auction/compiled.h"
 #include "auction/properties.h"
@@ -25,23 +23,6 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // absolute floor below ends the search.
 constexpr std::size_t kMaxBisectionRounds = 200;
 constexpr double kBisectionAbsoluteFloor = 1e-12;
-
-using entry = std::pair<double, std::size_t>;  // (ratio, bid index)
-
-// Manual min-heap over (ratio, bid index) entries, operating on a borrowed
-// vector so the storage survives across calls. std::priority_queue would
-// force a fresh container per auction.
-ECRS_HOT void heap_push(std::vector<entry>& heap, entry e) {
-  heap.push_back(e);
-  std::push_heap(heap.begin(), heap.end(), std::greater<>{});
-}
-
-ECRS_HOT entry heap_pop(std::vector<entry>& heap) {
-  std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
-  const entry top = heap.back();
-  heap.pop_back();
-  return top;
-}
 
 // Cost-effectiveness of a bid given the current coverage state; infinite
 // when the bid adds nothing.
@@ -67,25 +48,6 @@ std::size_t seller_slots_of(const single_stage_instance& instance) {
              : static_cast<std::size_t>(max_seller_of(instance)) + 1;
 }
 
-// Read-only probe context shared by every bisection probe of one instance
-// on the bid-vector reference paths: the empty-state utilities plus all
-// contributing bids pre-sorted by (initial ratio, bid index) — exactly the
-// order a fresh lazy heap would pop them in. The compiled path gets the
-// same thing for free from compiled_instance::order().
-struct probe_seed {
-  std::vector<units> initial_utilities;
-  std::vector<entry> entries;  // ascending
-  std::size_t seller_slots = 0;  // max seller id + 1
-};
-
-// Mutable per-probe workspace (one per concurrently running probe) for the
-// bid-vector reference probes.
-struct probe_scratch {
-  coverage_state state;
-  std::vector<char> seller_active;
-  std::vector<entry> requeued;  // min-heap storage
-};
-
 // One step of a winner's probe trajectory: the competing bid the greedy
 // selects at this step when the probed bid never wins, with its exact
 // ratio, and the probed bid's marginal utility entering the step. A
@@ -97,13 +59,6 @@ struct probe_step {
   std::uint32_t idx = 0;     // its bid row (the (ratio, idx) tie-break)
   units probed_utility = 0;  // U_i(E) before this selection
   bool collision = false;    // competitor shares the probed bid's seller
-};
-
-// Mutable workspace for a full compiled probe replay (wins_with_price).
-struct compiled_probe_scratch {
-  compiled_state state;
-  std::vector<char> seller_active;
-  std::vector<compiled_entry> requeued;  // min-heap storage
 };
 
 // Per-winner critical-value workspace, carved from the calling thread's
@@ -138,29 +93,22 @@ ECRS_HOT probe_slot carve_probe_slot(arena& a, const compiled_instance& c) {
 
 }  // namespace
 
-// Every buffer the selection loops and payment probes touch, grown on
-// demand and reused across calls. The per-winner probe slots make the
-// parallel payment fan-out safe with a single scratch: worker `pos` only
-// touches probes[pos] (reference paths) or its arena-carved probe_slot
-// (compiled path — see probe_slot above; those buffers live in the calling
-// thread's bump arena, not here, so a scratch that migrates between
-// threads never drags another thread's arena memory along).
+// Every buffer the selection loops touch, grown on demand and reused
+// across calls. The compiled path's per-winner probe slots live in the
+// calling thread's bump arena, not here (see probe_slot above), so a
+// scratch that migrates between threads never drags another thread's arena
+// memory along.
 struct ssam_scratch::impl {
-  // Bid-vector reference paths.
-  coverage_state state;             // selection loops
-  std::vector<char> active;         // eager loop: per-bid liveness
-  std::vector<char> seller_active;  // both loops: per-seller liveness
-  std::vector<entry> heap;          // lazy loop storage
-  probe_seed seed;                  // shared by all critical-value probes
-  std::vector<probe_scratch> probes;  // one slot per winner position
+  // Bid-vector eager reference.
+  coverage_state state;             // selection loop
+  std::vector<char> active;         // per-bid liveness
+  std::vector<char> seller_active;  // per-seller liveness
   coverage_state replay;            // feasibility re-check
   // Compiled path.
-  compiled_instance compiled;            // compile-on-entry shim target
-  scored_state scored;                   // eager selection: exact utilities
-  compiled_state cstate;                 // lazy selection: coverage only
-  std::vector<compiled_entry> cheap;     // compiled lazy-loop heap storage
-  std::vector<char> cseller_active;      // per-seller liveness
-  compiled_state creplay;                // feasibility re-check
+  compiled_instance compiled;        // compile-on-entry shim target
+  scored_state scored;               // selection: exact utilities
+  std::vector<char> cseller_active;  // per-seller liveness
+  compiled_state creplay;            // feasibility re-check
 };
 
 // ecrs-lint: allow(auction-hot-alloc) — one-time workspace construction.
@@ -174,18 +122,17 @@ ssam_scratch::impl& ssam_scratch::buffers() { return *impl_; }
 namespace {
 
 // ---------------------------------------------------------------------------
-// Bid-vector reference loops (eager_reference / legacy_reference). Both
-// greedy loops share one callback contract. `price_override` (optional,
-// `override_index == bids.size()` disables it) replaces the price of one bid
-// for critical-value probing. Each selection is reported through `on_win`,
-// which may inspect the candidate set via the provided coverage state and
-// `seller_active` vector (indexed by seller id — a bid is a candidate iff
-// its seller is active, constraint (9)) and returns false to veto the
-// selection and stop the auction (budget exhaustion, probe early exit).
-
-// Reference implementation: full O(n·m) rescan of every active bid per
-// selection, with the original per-bid deactivation sweep. Its cost profile
-// IS the eager baseline the benchmarks compare against.
+// The eager reference loop (eager_reference, eager_greedy_selection): a
+// full O(n·m) rescan of every active bid per selection over the bid
+// vectors, with the original per-bid deactivation sweep. It shares no code
+// with the compiled path, which makes it the oracle the compiled engine is
+// tested against. `override_index` (== bids.size() disables it) replaces
+// the price of one bid with `override_price` for critical-value probing.
+// Each selection is reported through `on_win`, which may inspect the
+// candidate set via the provided coverage state and `seller_active` vector
+// (indexed by seller id — a bid is a candidate iff its seller is active,
+// constraint (9)) and returns false to veto the selection and stop the
+// auction (budget exhaustion).
 template <typename OnWin>
 ECRS_HOT void eager_greedy_loop(const single_stage_instance& instance,
                        ssam_scratch::impl& ws, std::size_t override_index,
@@ -235,259 +182,31 @@ ECRS_HOT void eager_greedy_loop(const single_stage_instance& instance,
   }
 }
 
-// The PR 3 lazy path: lazy evaluation on a min-heap of (stale ratio, bid
-// index). U_ij(E) is submodular — coverage only grows, so marginal
-// utilities only shrink and a bid's stale ratio is a LOWER bound on its
-// current ratio. A popped bid whose fresh ratio is still no worse than the
-// next stale key is therefore a true minimum; the index tie-break
-// reproduces the eager scan's deterministic ordering bit-for-bit.
-template <typename OnWin>
-ECRS_HOT void lazy_greedy_loop(const single_stage_instance& instance,
-                      ssam_scratch::impl& ws, std::size_t override_index,
-                      double override_price, OnWin&& on_win) {
-  const std::size_t nbids = instance.bids.size();
-  coverage_state& state = ws.state;
-  state.reset(instance.requirements);
-  ws.seller_active.assign(seller_slots_of(instance), 1);
-
-  auto price_of = [&](std::size_t idx) {
-    return idx == override_index ? override_price : instance.bids[idx].price;
-  };
-
-  std::vector<entry>& heap = ws.heap;
-  heap.clear();
-  for (std::size_t idx = 0; idx < nbids; ++idx) {
-    units utility = 0;
-    const double ratio =
-        ratio_of(instance.bids[idx], price_of(idx), state, utility);
-    if (ratio != kInf) heap.emplace_back(ratio, idx);
-  }
-  std::make_heap(heap.begin(), heap.end(), std::greater<>{});
-
-  while (!state.satisfied() && !heap.empty()) {
-    const auto [stale_ratio, idx] = heap_pop(heap);
-    if (!ws.seller_active[instance.bids[idx].seller]) continue;
-    units utility = 0;
-    const double ratio =
-        ratio_of(instance.bids[idx], price_of(idx), state, utility);
-    if (ratio == kInf) continue;  // no longer contributes
-    // Select only if still no worse than the next candidate's (lower-bound)
-    // key; ties go to the smaller index, exactly like the eager scan.
-    if (!heap.empty()) {
-      const auto& [next_ratio, next_idx] = heap.front();
-      if (ratio > next_ratio || (ratio == next_ratio && idx > next_idx)) {
-        heap_push(heap, {ratio, idx});
-        continue;
-      }
-    }
-
-    if (!on_win(idx, utility, ratio, state, ws.seller_active)) break;
-
-    state.apply(instance.bids[idx]);
-    ws.seller_active[instance.bids[idx].seller] = 0;
-  }
-}
-
-template <typename OnWin>
-ECRS_HOT void greedy_loop(const single_stage_instance& instance,
-                          ssam_scratch::impl& ws,
-                 bool eager, std::size_t override_index, double override_price,
-                 OnWin&& on_win) {
-  if (eager) {
-    eager_greedy_loop(instance, ws, override_index, override_price,
-                      std::forward<OnWin>(on_win));
-  } else {
-    lazy_greedy_loop(instance, ws, override_index, override_price,
-                     std::forward<OnWin>(on_win));
-  }
-}
-
-// Rebuild the shared probe context in `seed`, reusing its storage. The
-// empty-state marginal utility is evaluated against a freshly reset
-// coverage state (borrowed from the caller), where U_ij(∅) is exactly the
-// marginal utility.
-ECRS_HOT void build_probe_seed(const single_stage_instance& instance,
-                               probe_seed& seed, coverage_state& state) {
-  state.reset(instance.requirements);
-  seed.initial_utilities.clear();
-  seed.initial_utilities.reserve(instance.bids.size());
-  seed.entries.clear();
-  seed.entries.reserve(instance.bids.size());
-  for (std::size_t idx = 0; idx < instance.bids.size(); ++idx) {
-    const bid& b = instance.bids[idx];
-    const units utility = state.marginal_utility(b);
-    seed.initial_utilities.push_back(utility);
-    if (utility > 0) {
-      seed.entries.emplace_back(b.price / static_cast<double>(utility), idx);
-    }
-  }
-  std::sort(seed.entries.begin(), seed.entries.end());
-  seed.seller_slots = seller_slots_of(instance);
-}
-
-// Lazy probe with early exit: does `bid_index` win when reporting
-// `price_report`? Same selection rule as lazy_greedy_loop, but the candidate
-// heap is split into three sources so nothing O(n) is rebuilt per probe:
-//  - the shared pre-sorted seed, consumed through a cursor (stale initial
-//    keys — lower bounds by submodularity);
-//  - a small heap of entries that were popped and re-keyed this probe;
-//  - one slot for the probed bid (its key uses the overridden price, so it
-//    cannot live in the shared seed).
-// Taking the (key, index)-lexicographic minimum over the three heads is
-// equivalent to popping one heap holding all of them, so the selection
-// sequence — and therefore the win/lose verdict — matches the generic loops
-// bit for bit. The probe exits the moment the verdict is decided: the
-// probed bid is selected (win), its marginal utility hits zero (it can
-// never be selected later — loss), or its seller wins through another bid
-// (constraint (9) — loss).
-ECRS_HOT bool lazy_probe_wins(const single_stage_instance& instance,
-                              const probe_seed& seed, probe_scratch& ws,
-                              std::size_t bid_index, double price_report) {
-  const units probed_utility = seed.initial_utilities[bid_index];
-  if (probed_utility <= 0) return false;  // contributes nothing, never wins
-  const seller_id probed_seller = instance.bids[bid_index].seller;
-
-  coverage_state& state = ws.state;
-  state.reset(instance.requirements);
-  ws.seller_active.assign(seed.seller_slots, 1);
-  std::vector<entry>& requeued = ws.requeued;
-  requeued.clear();
-
-  std::size_t cursor = 0;
-  double probed_key = price_report / static_cast<double>(probed_utility);
-  bool probed_pending = true;
-
-  // Position the three heads on live candidates. The probed bid's seed
-  // entry is skipped (the slot represents it); entries of deactivated
-  // sellers are dead forever and are consumed/popped.
-  auto skim = [&] {
-    while (cursor < seed.entries.size() &&
-           (seed.entries[cursor].second == bid_index ||
-            !ws.seller_active[instance.bids[seed.entries[cursor].second]
-                                  .seller])) {
-      ++cursor;
-    }
-    while (!requeued.empty() &&
-           !ws.seller_active[instance.bids[requeued.front().second].seller]) {
-      heap_pop(requeued);
-    }
-  };
-  // Minimum (key, index) over the three heads; false if all exhausted.
-  auto peek = [&](entry& out) {
-    bool found = false;
-    if (cursor < seed.entries.size()) {
-      out = seed.entries[cursor];
-      found = true;
-    }
-    if (!requeued.empty() && (!found || requeued.front() < out)) {
-      out = requeued.front();
-      found = true;
-    }
-    if (probed_pending) {
-      const entry probed{probed_key, bid_index};
-      if (!found || probed < out) {
-        out = probed;
-        found = true;
-      }
-    }
-    return found;
-  };
-
-  while (!state.satisfied()) {
-    skim();
-    entry head;
-    if (!peek(head)) return false;  // nothing helps: auction ends, bid lost
-    const std::size_t idx = head.second;
-    // Pop the head from its source.
-    if (idx == bid_index) {
-      probed_pending = false;
-    } else if (cursor < seed.entries.size() &&
-               seed.entries[cursor].second == idx) {
-      ++cursor;
-    } else {
-      heap_pop(requeued);
-    }
-
-    units utility = 0;
-    const double price =
-        idx == bid_index ? price_report : instance.bids[idx].price;
-    const double ratio = ratio_of(instance.bids[idx], price, state, utility);
-    if (ratio == kInf) {
-      // No longer contributes. For the probed bid this is terminal: its
-      // marginal utility can only shrink further (submodularity).
-      if (idx == bid_index) return false;
-      continue;
-    }
-    entry next;
-    if (peek(next) &&
-        (ratio > next.first || (ratio == next.first && idx > next.second))) {
-      if (idx == bid_index) {
-        probed_key = ratio;
-        probed_pending = true;
-      } else {
-        heap_push(requeued, {ratio, idx});
-      }
-      continue;
-    }
-
-    // Selected.
-    if (idx == bid_index) return true;
-    if (instance.bids[idx].seller == probed_seller) return false;
-    state.apply(instance.bids[idx]);
-    ws.seller_active[instance.bids[idx].seller] = 0;
-  }
-  return false;  // requirements met without the probed bid
-}
-
-// Generic probe core (both reference loop flavours). With `early_exit`, the
-// replayed auction stops the moment the verdict is decided: the probed bid
-// was selected (won), or another bid of the same seller was selected, which
-// deactivates the probed bid for the rest of the round (lost). Allocates
-// its own workspace — this is the eager reference path, not the hot one.
-bool wins_with_price_impl(const single_stage_instance& instance,
-                          std::size_t bid_index, double price_report,
-                          bool eager, bool early_exit) {
+// Reference probe: replays the whole eager auction with the probed bid's
+// price replaced and reports whether the bid was ever selected. Allocates
+// its own workspace — this is the oracle, not the hot path.
+bool reference_wins_with_price(const single_stage_instance& instance,
+                               std::size_t bid_index, double price_report) {
   ssam_scratch local;
-  const seller_id probed_seller = instance.bids[bid_index].seller;
   bool won = false;
-  greedy_loop(instance, local.buffers(), eager, bid_index, price_report,
-              [&](std::size_t idx, units, double, const coverage_state&,
-                  const std::vector<char>&) {
-                if (idx == bid_index) {
-                  won = true;
-                  return !early_exit;
-                }
-                if (early_exit &&
-                    instance.bids[idx].seller == probed_seller) {
-                  return false;  // constraint (9) bars the probed bid now
-                }
-                return true;
-              });
+  eager_greedy_loop(instance, local.buffers(), bid_index, price_report,
+                    [&](std::size_t idx, units, double, const coverage_state&,
+                        const std::vector<char>&) {
+                      won = won || idx == bid_index;
+                      return true;
+                    });
   return won;
 }
 
-// When `seed` is non-null the probes run through `lazy_probe_wins` (with
-// `probe_ws` as workspace); otherwise the generic loop selected by `eager`
-// replays the full auction per probe (the eager reference).
-double critical_value_payment_impl(const single_stage_instance& instance,
-                                   std::size_t bid_index, double relative_eps,
-                                   bool eager, const probe_seed* seed,
-                                   probe_scratch* probe_ws) {
+// Reference critical-value bisection: every probe replays the full eager
+// auction.
+double reference_critical_value(const single_stage_instance& instance,
+                                std::size_t bid_index, double relative_eps) {
   ECRS_CHECK(bid_index < instance.bids.size());
   ECRS_CHECK_MSG(relative_eps > 0.0 && relative_eps < 1.0,
                  "bisection tolerance must be in (0, 1)");
-  probe_seed local_seed;
-  probe_scratch local_ws;
-  if (!eager && seed == nullptr) {
-    build_probe_seed(instance, local_seed, local_ws.state);
-    seed = &local_seed;
-  }
-  if (probe_ws == nullptr) probe_ws = &local_ws;
   auto probe = [&](double report) {
-    return seed != nullptr
-               ? lazy_probe_wins(instance, *seed, *probe_ws, bid_index, report)
-               : wins_with_price_impl(instance, bid_index, report, eager,
-                                      /*early_exit=*/false);
+    return reference_wins_with_price(instance, bid_index, report);
   };
   const double own_price = instance.bids[bid_index].price;
   ECRS_CHECK_MSG(probe(own_price),
@@ -524,42 +243,22 @@ double critical_value_payment_impl(const single_stage_instance& instance,
   return lo;
 }
 
-// Resolve an options struct to "run the selection loop eagerly?".
-bool eager_selection_of(const ssam_options& options) {
-  if (options.eager_reference) return true;
-  switch (options.selection) {
-    case selection_mode::eager: return true;
-    case selection_mode::lazy: return false;
-    case selection_mode::automatic:
-      // No probes to amortize the lazy heap against → eager's lower
-      // constant wins (see BENCH_pr3.json for the measured crossover).
-      return options.rule != payment_rule::critical_value;
-  }
-  return false;
-}
-
 // ---------------------------------------------------------------------------
-// Compiled selection loops. Same callback contract as the reference loops
-// except the coverage view passed to `on_win` is a `utility_of` callable
-// returning the bid's exact current U_ij(E) (O(1) from the eager loop's
-// scored state, O(|coverage|) from the lazy loop's compiled state), plus a
-// `util_data` pointer to the contiguous exact-utility row when the loop
-// maintains one (the eager loop's scored state; nullptr from the lazy
-// loop), which lets the runner-up scan use the vector argmin kernel.
-
-// Eager: full O(n) argmin scan per pick over the exact utilities, served
-// by the ratio_argmin kernel over the contiguous price/utility/seller rows
-// (the scored apply that keeps the utilities exact walks only the
-// inverted-index rows of the covered demanders). The kernel returns the
-// (ratio, index)-lexicographic minimum — exactly what the scalar ascending
-// strict-< scan selected.
+// The compiled selection loop: a full O(n) argmin scan per pick over the
+// exact utilities, served by the ratio_argmin kernel over the contiguous
+// price/utility/seller rows (the scored apply that keeps the utilities
+// exact walks only the inverted-index rows of the covered demanders). The
+// kernel returns the (ratio, index)-lexicographic minimum — exactly what
+// the reference loop's ascending strict-< scan selects. `on_win` has the
+// reference loop's contract, except that the candidate view is the
+// contiguous exact-utility row, which lets the runner-up scan reuse the
+// same kernel.
 template <typename OnWin>
-ECRS_HOT void compiled_eager_loop(const compiled_instance& c,
-                                  ssam_scratch::impl& ws, OnWin&& on_win) {
+ECRS_HOT void compiled_greedy_loop(const compiled_instance& c,
+                                   ssam_scratch::impl& ws, OnWin&& on_win) {
   scored_state& scored = ws.scored;
   scored.reset(c);
   ws.cseller_active.assign(c.seller_slots(), 1);
-  auto utility_of = [&](std::size_t j) { return scored.utility(j); };
 
   while (!scored.satisfied()) {
     const simd::ratio_best pick = simd::ratio_argmin(
@@ -571,7 +270,7 @@ ECRS_HOT void compiled_eager_loop(const compiled_instance& c,
     }
     const std::size_t best = pick.index;
 
-    if (!on_win(best, scored.utility(best), pick.ratio, utility_of,
+    if (!on_win(best, scored.utility(best), pick.ratio,
                 scored.utilities_data(), ws.cseller_active)) {
       break;
     }
@@ -579,191 +278,6 @@ ECRS_HOT void compiled_eager_loop(const compiled_instance& c,
     scored.apply(c, best);
     ws.cseller_active[c.seller(best)] = 0;
   }
-}
-
-// Lazy: the two-source candidate merge of compiled_probe_wins, without the
-// probed-bid slot. The pre-sorted order() is consumed through a cursor —
-// its keys are the bids' initial ratios, lower bounds by submodularity, so
-// advancing the cursor replaces an O(log n) heap pop with a pointer bump —
-// and bids whose exact recomputed ratio no longer beats the next head are
-// re-keyed into a small requeue heap (a bid lives in exactly one source).
-// Taking the (key, idx)-lexicographic minimum over the two heads is
-// equivalent to popping one heap holding all entries, so the selection
-// sequence matches the eager scan bit for bit.
-template <typename OnWin>
-ECRS_HOT void compiled_lazy_loop(const compiled_instance& c,
-                                 ssam_scratch::impl& ws, OnWin&& on_win) {
-  compiled_state& state = ws.cstate;
-  state.reset(c);
-  ws.cseller_active.assign(c.seller_slots(), 1);
-  auto utility_of = [&](std::size_t j) { return state.marginal_utility(c, j); };
-
-  const std::vector<compiled_entry>& seed = c.order();
-  std::size_t cursor = 0;
-  std::vector<compiled_entry>& requeued = ws.cheap;
-  requeued.clear();
-
-  // Position both heads on live candidates (entries of deactivated sellers
-  // are dead forever and are consumed/popped).
-  auto skim = [&] {
-    while (cursor < seed.size() && !ws.cseller_active[seed[cursor].seller]) {
-      ++cursor;
-    }
-    while (!requeued.empty() && !ws.cseller_active[requeued.front().seller]) {
-      std::pop_heap(requeued.begin(), requeued.end(), entry_greater{});
-      requeued.pop_back();
-    }
-  };
-  // Minimum (key, idx) over the two heads; false if both exhausted.
-  auto peek = [&](compiled_entry& out) {
-    bool found = false;
-    if (cursor < seed.size()) {
-      out = seed[cursor];
-      found = true;
-    }
-    if (!requeued.empty() && (!found || entry_less(requeued.front(), out))) {
-      out = requeued.front();
-      found = true;
-    }
-    return found;
-  };
-
-  while (!state.satisfied()) {
-    skim();
-    compiled_entry head;
-    if (!peek(head)) break;  // nothing helps: requirements unsatisfiable
-    // Pop the head from its source (a bid sits in the unconsumed seed or in
-    // the requeue heap, never both, so the idx match is unambiguous).
-    if (cursor < seed.size() && seed[cursor].idx == head.idx) {
-      ++cursor;
-    } else {
-      std::pop_heap(requeued.begin(), requeued.end(), entry_greater{});
-      requeued.pop_back();
-    }
-
-    const units utility = state.marginal_utility(c, head.idx);
-    if (utility <= 0) continue;  // dead forever (submodularity)
-    const double ratio = c.price(head.idx) / static_cast<double>(utility);
-    // Select only if still no worse than the next candidate's (lower-bound)
-    // key; ties go to the smaller index, exactly like the eager scan.
-    compiled_entry next;
-    if (peek(next) &&
-        (ratio > next.key || (ratio == next.key && head.idx > next.idx))) {
-      requeued.push_back({ratio, head.idx, head.seller});
-      std::push_heap(requeued.begin(), requeued.end(), entry_greater{});
-      continue;
-    }
-
-    if (!on_win(head.idx, utility, ratio, utility_of, nullptr,
-                ws.cseller_active)) {
-      break;
-    }
-
-    state.apply(c, head.idx);
-    ws.cseller_active[head.seller] = 0;
-  }
-}
-
-// Compiled port of lazy_probe_wins: identical three-source candidate merge
-// and early exits, with the shared seed and all per-bid lookups served by
-// the compiled view (no per-call seed build, no pointer chasing into the
-// bid table).
-ECRS_HOT bool compiled_probe_wins(const compiled_instance& c,
-                                  compiled_probe_scratch& ws,
-                                  std::size_t bid_index, double price_report) {
-  const units probed_utility = c.initial_utility(bid_index);
-  if (probed_utility <= 0) return false;  // contributes nothing, never wins
-  const seller_id probed_seller = c.seller(bid_index);
-
-  compiled_state& state = ws.state;
-  state.reset(c);
-  ws.seller_active.assign(c.seller_slots(), 1);
-  std::vector<compiled_entry>& requeued = ws.requeued;
-  requeued.clear();
-
-  const std::vector<compiled_entry>& seed = c.order();
-  std::size_t cursor = 0;
-  double probed_key = price_report / static_cast<double>(probed_utility);
-  bool probed_pending = true;
-
-  auto skim = [&] {
-    while (cursor < seed.size() &&
-           (seed[cursor].idx == bid_index ||
-            !ws.seller_active[seed[cursor].seller])) {
-      ++cursor;
-    }
-    while (!requeued.empty() && !ws.seller_active[requeued.front().seller]) {
-      std::pop_heap(requeued.begin(), requeued.end(), entry_greater{});
-      requeued.pop_back();
-    }
-  };
-  auto peek = [&](compiled_entry& out) {
-    bool found = false;
-    if (cursor < seed.size()) {
-      out = seed[cursor];
-      found = true;
-    }
-    if (!requeued.empty() && (!found || entry_less(requeued.front(), out))) {
-      out = requeued.front();
-      found = true;
-    }
-    if (probed_pending) {
-      const compiled_entry probed{probed_key,
-                                  static_cast<std::uint32_t>(bid_index),
-                                  probed_seller};
-      if (!found || entry_less(probed, out)) {
-        out = probed;
-        found = true;
-      }
-    }
-    return found;
-  };
-
-  while (!state.satisfied()) {
-    skim();
-    compiled_entry head;
-    if (!peek(head)) return false;  // nothing helps: auction ends, bid lost
-    const std::size_t idx = head.idx;
-    // Pop the head from its source.
-    if (idx == bid_index) {
-      probed_pending = false;
-    } else if (cursor < seed.size() && seed[cursor].idx == idx) {
-      ++cursor;
-    } else {
-      std::pop_heap(requeued.begin(), requeued.end(), entry_greater{});
-      requeued.pop_back();
-    }
-
-    const units utility = state.marginal_utility(c, idx);
-    if (utility <= 0) {
-      // No longer contributes. For the probed bid this is terminal: its
-      // marginal utility can only shrink further (submodularity).
-      if (idx == bid_index) return false;
-      continue;
-    }
-    const double price = idx == bid_index ? price_report : c.price(idx);
-    const double ratio = price / static_cast<double>(utility);
-    compiled_entry next;
-    if (peek(next) &&
-        (ratio > next.key || (ratio == next.key && idx > next.idx))) {
-      if (idx == bid_index) {
-        probed_key = ratio;
-        probed_pending = true;
-      } else {
-        requeued.push_back({ratio, static_cast<std::uint32_t>(idx),
-                            head.seller});
-        std::push_heap(requeued.begin(), requeued.end(), entry_greater{});
-      }
-      continue;
-    }
-
-    // Selected.
-    if (idx == bid_index) return true;
-    if (head.seller == probed_seller) return false;
-    state.apply(c, idx);
-    ws.seller_active[head.seller] = 0;
-  }
-  return false;  // requirements met without the probed bid
 }
 
 // Record the probe trajectory for one winner: the greedy selection sequence
@@ -815,9 +329,9 @@ ECRS_HOT void build_probe_trajectory(const compiled_instance& c,
 }
 
 // Does the probed bid win at report p, resolved against the precomputed
-// trajectory? Identical verdicts to a full replay (compiled_probe_wins):
-// both decide "is the bid ever selected by the exact greedy", this one in
-// O(|steps|).
+// trajectory? Identical verdicts to a full replay of the exact greedy
+// (the eager reference's reference_wins_with_price): both decide "is the
+// bid ever selected", this one in O(|steps|).
 ECRS_HOT bool trajectory_probe_wins(const probe_slot& slot,
                                     std::size_t bid_index, double report) {
   const auto probed_idx = static_cast<std::uint32_t>(bid_index);
@@ -902,7 +416,7 @@ void run_ssam_compiled(const compiled_instance& c, const ssam_options& options,
   double budget_spent = 0.0;  // runner-up payment estimates
 
   auto on_win = [&](std::size_t idx, units utility, double ratio,
-                    auto&& utility_of, const units* util_data,
+                    const units* util_data,
                     const std::vector<char>& seller_active) {
     winning_bid w;
     w.bid_index = idx;
@@ -915,33 +429,14 @@ void run_ssam_compiled(const compiled_instance& c, const ssam_options& options,
     if (need_estimate) {
       // Best competing ratio among bids of *other* sellers still active
       // (Algorithm 1 line 6; see DESIGN.md for why same-seller
-      // alternatives are excluded). When the loop maintains a contiguous
-      // exact-utility row (eager/scored), the scan is the vector argmin
-      // kernel with the winner's seller excluded — the winner itself has
-      // that seller, so skip_seller subsumes the other == idx skip; the
-      // lexicographic minimum's ratio is the same minimum the scalar value
-      // scan found. The lazy loop serves utilities through `utility_of`
-      // (no contiguous row), so it keeps the scalar scan.
-      const seller_id self = c.seller(idx);
-      double runner_ratio = kInf;
-      if (util_data != nullptr) {
-        runner_ratio = simd::ratio_argmin(c.price_data(), util_data,
-                                          c.seller_data(),
-                                          seller_active.data(), c.bid_count(),
-                                          simd::kNoIndex, self)
-                           .ratio;
-      } else {
-        for (std::size_t other = 0; other < c.bid_count(); ++other) {
-          if (other == idx) continue;
-          const seller_id other_seller = c.seller(other);
-          if (other_seller == self) continue;
-          if (!seller_active[other_seller]) continue;
-          const units u = utility_of(other);
-          if (u <= 0) continue;  // ratio would be infinite
-          runner_ratio = std::min(runner_ratio,
-                                  c.price(other) / static_cast<double>(u));
-        }
-      }
+      // alternatives are excluded): the argmin kernel over the exact
+      // utilities with the winner's seller excluded — the winner itself has
+      // that seller, so skip_seller subsumes the other == idx skip.
+      const double runner_ratio =
+          simd::ratio_argmin(c.price_data(), util_data, c.seller_data(),
+                             seller_active.data(), c.bid_count(),
+                             simd::kNoIndex, c.seller(idx))
+              .ratio;
       if (runner_ratio != kInf) {
         estimate = static_cast<double>(utility) * runner_ratio;
       }
@@ -967,11 +462,7 @@ void run_ssam_compiled(const compiled_instance& c, const ssam_options& options,
     return true;
   };
 
-  if (eager_selection_of(options)) {
-    compiled_eager_loop(c, ws, on_win);
-  } else {
-    compiled_lazy_loop(c, ws, on_win);
-  }
+  compiled_greedy_loop(c, ws, on_win);
 
   if (options.rule == payment_rule::critical_value) {
     // Every payment is an independent pure probe of the instance, so they
@@ -1056,17 +547,16 @@ void run_ssam_compiled(const compiled_instance& c, const ssam_options& options,
   }
 }
 
-// The bid-vector reference body (eager_reference / legacy_reference): the
-// pre-compiled-view mechanism, kept verbatim as the equivalence and
-// benchmark baseline.
+// The bid-vector reference body (eager_reference): the pre-compiled-view
+// mechanism, kept as the oracle for the compiled engine.
 void run_ssam_reference(const single_stage_instance& instance,
                         const ssam_options& options, ssam_scratch::impl& ws,
                         ssam_result& result) {
   reset_result(result);
   double budget_spent = 0.0;  // runner-up payment estimates
 
-  greedy_loop(
-      instance, ws, eager_selection_of(options), instance.bids.size(), 0.0,
+  eager_greedy_loop(
+      instance, ws, instance.bids.size(), 0.0,
       [&](std::size_t idx, units utility, double ratio,
           const coverage_state& state, const std::vector<char>& seller_active) {
         winning_bid w;
@@ -1120,22 +610,11 @@ void run_ssam_reference(const single_stage_instance& instance,
   if (options.rule == payment_rule::critical_value) {
     // Every payment is an independent pure probe of the instance, so they
     // run concurrently; each worker writes only its own winner's slot and
-    // uses its own probe workspace, so the outcome is identical for any
-    // thread count. The pre-sorted probe seed is shared read-only across
-    // every probe of every winner.
-    const probe_seed* seed = nullptr;
-    if (!options.eager_reference) {
-      build_probe_seed(instance, ws.seed, ws.state);
-      seed = &ws.seed;
-    }
-    if (ws.probes.size() < result.winners.size()) {
-      ws.probes.resize(result.winners.size());
-    }
+    // each probe allocates its own workspace, so the outcome is identical
+    // for any thread count.
     auto pay_one = [&](std::size_t pos) {
-      result.winners[pos].payment = critical_value_payment_impl(
-          instance, result.winners[pos].bid_index, options.critical_value_eps,
-          options.eager_reference, seed,
-          options.eager_reference ? nullptr : &ws.probes[pos]);
+      result.winners[pos].payment = reference_critical_value(
+          instance, result.winners[pos].bid_index, options.critical_value_eps);
     };
     if (options.payment_threads == 1 || result.winners.size() < 2) {
       for (std::size_t pos = 0; pos < result.winners.size(); ++pos) {
@@ -1213,22 +692,24 @@ void check_run_options(const ssam_options& options) {
 
 std::vector<std::size_t> greedy_selection(const single_stage_instance& instance,
                                           ssam_scratch* scratch) {
+  instance.validate();
   std::optional<ssam_scratch> local;
   if (scratch == nullptr) scratch = &local.emplace();
   ssam_scratch::impl& ws = scratch->buffers();
   ws.compiled.compile(instance);
   std::vector<std::size_t> winners;
-  compiled_lazy_loop(ws.compiled, ws,
-                     [&](std::size_t idx, units, double, auto&&,
-                         const units*, const std::vector<char>&) {
-                       winners.push_back(idx);
-                       return true;
-                     });
+  compiled_greedy_loop(ws.compiled, ws,
+                       [&](std::size_t idx, units, double, const units*,
+                           const std::vector<char>&) {
+                         winners.push_back(idx);
+                         return true;
+                       });
   return winners;
 }
 
 std::vector<std::size_t> eager_greedy_selection(
     const single_stage_instance& instance, ssam_scratch* scratch) {
+  instance.validate();
   std::optional<ssam_scratch> local;
   if (scratch == nullptr) scratch = &local.emplace();
   std::vector<std::size_t> winners;
@@ -1241,27 +722,32 @@ std::vector<std::size_t> eager_greedy_selection(
   return winners;
 }
 
+// Both single-bid entry points resolve against the same per-winner probe
+// trajectory the run_ssam payment fan-out uses.
 bool wins_with_price(const single_stage_instance& instance,
                      std::size_t bid_index, double price_report) {
+  instance.validate();
   ECRS_CHECK(bid_index < instance.bids.size());
   ECRS_CHECK_MSG(price_report >= 0.0, "price reports must be non-negative");
-  ssam_scratch local;
-  ssam_scratch::impl& ws = local.buffers();
-  ws.compiled.compile(instance);
-  compiled_probe_scratch probe_ws;
-  return compiled_probe_wins(ws.compiled, probe_ws, bid_index, price_report);
+  compiled_instance compiled;
+  compiled.compile(instance);
+  arena& slab = arena::for_thread();
+  const arena::scope probe_scope(slab);
+  probe_slot slot = carve_probe_slot(slab, compiled);
+  build_probe_trajectory(compiled, slot, bid_index);
+  return trajectory_probe_wins(slot, bid_index, price_report);
 }
 
 double critical_value_payment(const single_stage_instance& instance,
                               std::size_t bid_index, double relative_eps) {
+  instance.validate();
   ECRS_CHECK(bid_index < instance.bids.size());
-  ssam_scratch local;
-  ssam_scratch::impl& ws = local.buffers();
-  ws.compiled.compile(instance);
+  compiled_instance compiled;
+  compiled.compile(instance);
   arena& slab = arena::for_thread();
   const arena::scope probe_scope(slab);
-  probe_slot slot = carve_probe_slot(slab, ws.compiled);
-  return compiled_critical_value(ws.compiled, bid_index, relative_eps, slot);
+  probe_slot slot = carve_probe_slot(slab, compiled);
+  return compiled_critical_value(compiled, bid_index, relative_eps, slot);
 }
 
 void run_ssam(const single_stage_instance& instance,
@@ -1269,12 +755,10 @@ void run_ssam(const single_stage_instance& instance,
               ssam_result& out) {
   instance.validate();
   check_run_options(options);
-  ECRS_CHECK_MSG(!(options.eager_reference && options.legacy_reference),
-                 "pick at most one bid-vector reference path");
   std::optional<ssam_scratch> local;
   if (scratch == nullptr) scratch = &local.emplace();
   ssam_scratch::impl& ws = scratch->buffers();
-  if (options.eager_reference || options.legacy_reference) {
+  if (options.eager_reference) {
     run_ssam_reference(instance, options, ws, out);
     return;
   }
@@ -1284,8 +768,8 @@ void run_ssam(const single_stage_instance& instance,
 
 void run_ssam(const compiled_instance& compiled, const ssam_options& options,
               ssam_scratch* scratch, ssam_result& out) {
-  ECRS_CHECK_MSG(!options.eager_reference && !options.legacy_reference,
-                 "the bid-vector reference paths need the original instance; "
+  ECRS_CHECK_MSG(!options.eager_reference,
+                 "the eager reference needs the original instance; "
                  "call run_ssam(single_stage_instance) instead");
   check_run_options(options);
   std::optional<ssam_scratch> local;

@@ -12,28 +12,24 @@
 //    at which the bid still wins, found by binary search over re-runs of the
 //    greedy selection (monotone by Lemma 2). Exactly truthful.
 //
-// Selection and payments run on a *compiled* CSR view of the instance
-// (auction/compiled.h): the bid-vector entry points below compile on entry
-// (into the scratch, so steady-state callers pay no allocation), and every
-// hot loop — greedy selection in all modes, the runner-up estimate scans,
-// the critical-value probes, the feasibility replay, and the self-audit —
+// One engine runs selection and payments, on a *compiled* CSR view of the
+// instance (auction/compiled.h): the bid-vector entry points below compile
+// on entry (into the scratch, so steady-state callers pay no allocation),
+// and every hot loop — greedy selection, the runner-up estimate scans, the
+// critical-value probes, the feasibility replay, and the self-audit —
 // walks contiguous structure-of-arrays rows instead of per-bid
-// heap-allocated `bid::coverage` vectors. The lazy selection loop keeps
-// exact marginal utilities incrementally through the inverted demander
-// index (scored_state): applying a winner re-scores only the bids whose
-// utility actually changed and repairs the heap with fresh exact keys,
-// instead of lazily re-popping stale lower bounds. The heap orders
-// (ratio, bid index), reproducing the eager scan's deterministic
-// tie-breaking bit-for-bit.
+// heap-allocated `bid::coverage` vectors. Selection is one loop under
+// both payment rules: an argmin scan over incrementally maintained exact
+// utilities that reproduces the (ratio, bid index) tie-breaking of the
+// eager scan bit for bit. Every critical-value probe — inside run_ssam,
+// critical_value_payment and wins_with_price — resolves against the
+// winner's precomputed probe trajectory instead of replaying the auction.
 //
-// Two bid-vector reference paths are kept for equivalence tests and the
-// before/after benchmarks, selected by ssam_options:
-//  - eager_reference  — the original O(n²·m) eager scan with full
-//    (non-early-exit) probe auctions (the PR 1 baseline);
-//  - legacy_reference — the PR 3 path: lazy-greedy heap over bid vectors
-//    with the per-call pre-sorted probe seed and early-exit probes.
-// Both must produce winners and payments bit-identical to the compiled
-// default.
+// One oracle is kept beside the engine: the original O(n²·m) eager scan
+// over the bid vectors with full replayed probe auctions
+// (ssam_options::eager_reference, eager_greedy_selection). It shares no
+// code with the compiled engine, and the equivalence tests require winners
+// and payments bit-identical to it.
 //
 // Critical-value payments are independent pure probes of the instance and
 // are computed in parallel on a shared thread pool
@@ -57,18 +53,10 @@ class compiled_instance;  // auction/compiled.h
 
 enum class payment_rule { runner_up, critical_value };
 
-// Which greedy loop drives winner selection. Eager (full rescan per pick)
-// has the lower constant and wins when selection is all the call does; the
-// lazy heap wins once critical-value probes amortize its seed across many
-// replayed auctions. `automatic` picks eager when no probes will run
-// (payment_rule::runner_up) and lazy otherwise. Both loops produce the same
-// winner sequence bit for bit, so this is a pure performance knob.
-enum class selection_mode { automatic, eager, lazy };
-
 // Reusable workspace for the SSAM hot path. run_ssam and the selection
 // entry points accept an optional scratch; when provided, every internal
-// buffer (coverage state, seller/bid masks, the lazy heap, the pre-sorted
-// probe seed) is borrowed from it instead of allocated per call, so
+// buffer (compiled view, coverage and utility state, seller/bid masks) is
+// borrowed from it instead of allocated per call, so
 // repeated rounds and sweep trials stop hitting the allocator once the
 // buffers have grown to the largest instance seen. The compiled path's
 // per-winner critical-value probe slots are NOT stored here: they are
@@ -79,7 +67,7 @@ enum class selection_mode { automatic, eager, lazy };
 //
 // NOT thread-safe: a scratch serves one call at a time — use one per
 // worker. The parallel payment fan-out inside a single run_ssam call is
-// safe: each winner's probes get their own sub-workspace slot.
+// safe: each winner's probes get their own probe slot.
 class ssam_scratch {
  public:
   ssam_scratch();
@@ -106,10 +94,6 @@ inline constexpr bool kSelfAuditDefault = false;
 
 struct ssam_options {
   payment_rule rule = payment_rule::runner_up;
-  // Greedy loop used for winner selection (see selection_mode). The default
-  // resolves to eager under runner_up payments and lazy under
-  // critical_value; identical winners either way.
-  selection_mode selection = selection_mode::automatic;
   // Relative termination gap for the critical-value bisection: the search
   // stops once (hi - lo) / hi < critical_value_eps and returns the last
   // probe certified to win (lo), so a payment under-approximates the true
@@ -132,18 +116,12 @@ struct ssam_options {
   // thread, k > 1 = at most k workers. Payments are written to disjoint
   // slots, so the result is identical for every setting.
   std::size_t payment_threads = 0;
-  // Route selection and payment probes through the original eager O(n²·m)
-  // scan with full (non-early-exit) probe auctions. Kept for equivalence
-  // tests and the before/after micro-benchmarks; must produce the same
-  // winners and payments as the default compiled path.
+  // Route the call through the eager oracle: the original O(n²·m) scan over
+  // the bid vectors, with every critical-value probe replaying the full
+  // auction. The equivalence tests hold the compiled engine bit-identical
+  // to it. Only meaningful on the single_stage_instance overload (the
+  // compiled overload rejects it).
   bool eager_reference = false;
-  // Route the call through the PR 3 bid-vector path: lazy-greedy heap over
-  // `bid` vectors with the per-call probe seed and early-exit probes, no
-  // compiled view. Kept as the before/after benchmark baseline and the
-  // second equivalence reference; must produce the same winners and
-  // payments as the default compiled path. Only meaningful on the
-  // single_stage_instance overload (the compiled overload rejects it).
-  bool legacy_reference = false;
   // Re-check the returned result (feasibility, individual rationality,
   // accounting, budget balance, certificate sanity) with
   // auction::audit_or_throw before returning; a violation throws
@@ -184,11 +162,10 @@ struct ssam_result {
                                    ssam_scratch* scratch = nullptr);
 
 // Run the full mechanism directly on a pre-compiled view (no per-call
-// compile). The caller owns the compiled_instance and must have called
-// refresh_order() after any patches. Rejects the bid-vector reference
-// modes (eager_reference / legacy_reference). This is the MSOA warm-start
-// entry point; results are bit-identical to run_ssam on the equivalent
-// single_stage_instance.
+// compile). The caller owns the compiled_instance (patched in place with
+// set_price / set_requirement between calls). Rejects eager_reference (the oracle
+// needs the bid vectors). This is the MSOA warm-start entry point; results
+// are bit-identical to run_ssam on the equivalent single_stage_instance.
 [[nodiscard]] ssam_result run_ssam(const compiled_instance& compiled,
                                    const ssam_options& options = {},
                                    ssam_scratch* scratch = nullptr);
@@ -206,21 +183,25 @@ void run_ssam(const single_stage_instance& instance,
 void run_ssam(const compiled_instance& compiled, const ssam_options& options,
               ssam_scratch* scratch, ssam_result& out);
 
+// Every entry point below validates the instance first (a negative or NaN
+// price, an unsorted or out-of-range coverage list throws check_error), as
+// run_ssam does.
+//
 // Selection only (no payments): the greedy winner set in selection order,
-// computed with the lazy-greedy heap.
+// computed with the compiled selection loop run_ssam uses.
 [[nodiscard]] std::vector<std::size_t> greedy_selection(
     const single_stage_instance& instance, ssam_scratch* scratch = nullptr);
 
-// The original eager O(n²·m) scan, kept as the bit-for-bit reference for
-// greedy_selection (equivalence tests, before/after benchmarks).
+// The eager oracle's selection: the original O(n²·m) scan over the bid
+// vectors, the bit-for-bit reference for greedy_selection.
 [[nodiscard]] std::vector<std::size_t> eager_greedy_selection(
     const single_stage_instance& instance, ssam_scratch* scratch = nullptr);
 
 // Does `bid_index` win the greedy selection if its price is replaced by
-// `price_report` (all other bids unchanged)? Exits the replayed auction as
-// soon as the verdict is decided: when the probed bid is selected, or when
-// another bid of the same seller is selected (constraint (9) then bars the
-// probed bid for the rest of the round).
+// `price_report` (all other bids unchanged)? Resolved against the bid's
+// probe trajectory — the greedy sequence with the bid excluded — the same
+// resolver every critical-value payment uses. `price_report` must be
+// non-negative (+inf allowed).
 [[nodiscard]] bool wins_with_price(const single_stage_instance& instance,
                                    std::size_t bid_index, double price_report);
 

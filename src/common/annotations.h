@@ -36,7 +36,7 @@
 #endif
 
 // Hot-path purity markers (tools/ecrs_analyze). Place at the start of the
-// declaration: `ECRS_HOT void greedy_loop(...)`. The textual fallback
+// declaration: `ECRS_HOT void eager_greedy_loop(...)`. The textual fallback
 // front-end keys on the literal token, the libclang front-end on the
 // expanded annotate attribute — keep the macro name on the same line(s) as
 // the signature it marks.

@@ -1,5 +1,5 @@
-// Tests for the algorithmic variants: lazy-greedy selection and the
-// local-search improvement heuristic.
+// Tests for the algorithmic variants: compiled greedy selection against the
+// eager oracle and the local-search improvement heuristic.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,11 +27,11 @@ bid make_bid(seller_id s, std::vector<demander_id> cover, units amount,
   return b;
 }
 
-// ------------------------------------------------------------- lazy greedy
+// --------------------------------------------------------- compiled greedy
 
-class LazyGreedySweep : public ::testing::TestWithParam<std::uint64_t> {};
+class CompiledGreedySweep : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(LazyGreedySweep, MatchesEagerGreedyExactly) {
+TEST_P(CompiledGreedySweep, MatchesEagerGreedyExactly) {
   rng gen(GetParam() * 7919 + 3);
   instance_config cfg;
   cfg.sellers = 3 + static_cast<std::size_t>(gen.uniform_int(0, 25));
@@ -39,14 +39,14 @@ TEST_P(LazyGreedySweep, MatchesEagerGreedyExactly) {
   cfg.bids_per_seller = 1 + static_cast<std::size_t>(gen.uniform_int(0, 3));
   const auto inst = random_instance(cfg, gen);
   const auto eager = eager_greedy_selection(inst);
-  const auto lazy = greedy_selection(inst);
-  EXPECT_EQ(lazy, eager);
+  const auto compiled = greedy_selection(inst);
+  EXPECT_EQ(compiled, eager);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, LazyGreedySweep,
+INSTANTIATE_TEST_SUITE_P(Seeds, CompiledGreedySweep,
                          ::testing::Range<std::uint64_t>(1, 41));
 
-TEST(LazyGreedy, HandlesTiesLikeEager) {
+TEST(CompiledGreedy, HandlesTiesLikeEager) {
   // Three identical bids: both variants must pick the lowest index.
   single_stage_instance inst;
   inst.requirements = {4};
@@ -56,23 +56,23 @@ TEST(LazyGreedy, HandlesTiesLikeEager) {
   EXPECT_EQ(greedy_selection(inst), (std::vector<std::size_t>{0}));
 }
 
-TEST(LazyGreedy, EmptyRequirementsSelectNothing) {
+TEST(CompiledGreedy, EmptyRequirementsSelectNothing) {
   single_stage_instance inst;
   inst.requirements = {0};
   inst.bids = {make_bid(0, {0}, 1, 1.0)};
   EXPECT_TRUE(greedy_selection(inst).empty());
 }
 
-TEST(LazyGreedy, StopsOnUnsatisfiableInstances) {
+TEST(CompiledGreedy, StopsOnUnsatisfiableInstances) {
   single_stage_instance inst;
   inst.requirements = {100};
   inst.bids = {make_bid(0, {0}, 2, 1.0), make_bid(1, {0}, 2, 2.0)};
-  const auto lazy = greedy_selection(inst);
-  EXPECT_EQ(lazy, eager_greedy_selection(inst));
-  EXPECT_EQ(lazy.size(), 2u);  // takes everything useful, then stops
+  const auto compiled = greedy_selection(inst);
+  EXPECT_EQ(compiled, eager_greedy_selection(inst));
+  EXPECT_EQ(compiled.size(), 2u);  // takes everything useful, then stops
 }
 
-TEST(LazyGreedy, LargeInstanceAgreesWithEager) {
+TEST(CompiledGreedy, LargeInstanceAgreesWithEager) {
   rng gen(99);
   instance_config cfg;
   cfg.sellers = 300;
@@ -82,22 +82,23 @@ TEST(LazyGreedy, LargeInstanceAgreesWithEager) {
   EXPECT_EQ(greedy_selection(inst), eager_greedy_selection(inst));
 }
 
-// ------------------------------------------------------- early-exit probes
+// -------------------------------------------------------- trajectory probes
 
-// Reference verdict without any early exit or price-override machinery: set
+// Reference verdict without any trajectory or price-override machinery: set
 // the probed bid's price in a copy of the instance and check membership in
-// the plain greedy selection.
+// the eager oracle's selection, which shares no code with the compiled
+// probe.
 bool wins_by_reference(const single_stage_instance& inst, std::size_t idx,
                        double report) {
   single_stage_instance modified = inst;
   modified.bids[idx].price = report;
-  const auto winners = greedy_selection(modified);
+  const auto winners = eager_greedy_selection(modified);
   return std::find(winners.begin(), winners.end(), idx) != winners.end();
 }
 
-class ProbeEarlyExitSweep : public ::testing::TestWithParam<std::uint64_t> {};
+class ProbeTrajectorySweep : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(ProbeEarlyExitSweep, VerdictMatchesFullReplay) {
+TEST_P(ProbeTrajectorySweep, VerdictMatchesFullReplay) {
   rng gen(GetParam() * 104729 + 17);
   instance_config cfg;
   cfg.sellers = 3 + static_cast<std::size_t>(gen.uniform_int(0, 12));
@@ -105,9 +106,10 @@ TEST_P(ProbeEarlyExitSweep, VerdictMatchesFullReplay) {
   cfg.bids_per_seller = 1 + static_cast<std::size_t>(gen.uniform_int(0, 2));
   const auto inst = random_instance(cfg, gen);
   for (std::size_t idx = 0; idx < inst.bids.size(); ++idx) {
-    // Probe below, at, and well above the bid's own price; early exit must
-    // never flip a verdict relative to replaying the whole auction.
-    for (const double factor : {0.25, 1.0, 4.0, 64.0}) {
+    // Probe from a free report to far above the bid's own price; the
+    // trajectory must never flip a verdict relative to replaying the whole
+    // auction.
+    for (const double factor : {0.0, 0.25, 1.0, 4.0, 64.0, 1e300}) {
       const double report = inst.bids[idx].price * factor;
       EXPECT_EQ(wins_with_price(inst, idx, report),
                 wins_by_reference(inst, idx, report))
@@ -116,7 +118,7 @@ TEST_P(ProbeEarlyExitSweep, VerdictMatchesFullReplay) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ProbeEarlyExitSweep,
+INSTANTIATE_TEST_SUITE_P(Seeds, ProbeTrajectorySweep,
                          ::testing::Range<std::uint64_t>(1, 16));
 
 // ------------------------------------------------------------ local search

@@ -1,11 +1,11 @@
-// Randomized equivalence fuzz for the compiled CSR auction path
-// (auction/compiled.h): across random instances, selection modes, payment
-// rules and payment budgets, the compiled default must be bit-identical —
-// winners, payments, budget_dropped, certificate — to both bid-vector
-// reference paths (ssam_options::eager_reference / legacy_reference). Also
-// fuzzes MSOA sessions: compiled cold rounds vs. the legacy per-round path,
-// and warm-start patched sessions vs. cold-start sessions on standing bids.
-// Registered with the `slow` ctest label.
+// Randomized equivalence fuzz for the compiled CSR auction engine
+// (auction/compiled.h): across random instances, payment rules and payment
+// budgets, the engine must be bit-identical — winners, payments, budget_dropped,
+// certificate — to the eager bid-vector oracle
+// (ssam_options::eager_reference). Also fuzzes MSOA sessions: compiled
+// rounds vs. the oracle's per-round path, and warm-start patched sessions
+// vs. cold-start and oracle sessions on standing bids. Registered with the
+// `slow` ctest label.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -94,7 +94,7 @@ instance_config fuzz_config(rng& gen) {
 
 // ------------------------------------------------- single-stage equivalence
 
-TEST(CompiledFuzz, SingleStageMatchesBothReferences) {
+TEST(CompiledFuzz, SingleStageMatchesEagerReference) {
   rng gen(0xC0FFEEu);
   ssam_scratch scratch;
   for (int trial = 0; trial < 60; ++trial) {
@@ -113,27 +113,11 @@ TEST(CompiledFuzz, SingleStageMatchesBothReferences) {
             40.0 * static_cast<double>(1 + gen.uniform_int(0, 9));
       }
 
-      ssam_options compiled_opts = opts;
-      const auto via_compiled = run_ssam(inst, compiled_opts, &scratch);
-
-      for (const selection_mode mode :
-           {selection_mode::eager, selection_mode::lazy}) {
-        ssam_options mode_opts = opts;
-        mode_opts.selection = mode;
-        expect_same_result(via_compiled, run_ssam(inst, mode_opts, &scratch),
-                           mode == selection_mode::eager ? "compiled/eager"
-                                                         : "compiled/lazy");
-      }
-
+      const auto via_compiled = run_ssam(inst, opts, &scratch);
       ssam_options eager_ref = opts;
       eager_ref.eager_reference = true;
       expect_same_result(via_compiled, run_ssam(inst, eager_ref, &scratch),
                          "eager_reference");
-
-      ssam_options legacy_ref = opts;
-      legacy_ref.legacy_reference = true;
-      expect_same_result(via_compiled, run_ssam(inst, legacy_ref, &scratch),
-                         "legacy_reference");
     }
   }
 }
@@ -151,7 +135,7 @@ TEST(CompiledFuzz, SelectionAgreesWithEagerReference) {
 
 // --------------------------------------------------------- MSOA equivalence
 
-TEST(CompiledFuzz, MsoaMatchesLegacyRoundPath) {
+TEST(CompiledFuzz, MsoaMatchesEagerReferenceRoundPath) {
   rng gen(0x5EED5u);
   for (int trial = 0; trial < 12; ++trial) {
     online_config cfg;
@@ -166,31 +150,31 @@ TEST(CompiledFuzz, MsoaMatchesLegacyRoundPath) {
     compiled_opts.stage.rule = payment_rule::critical_value;
     compiled_opts.stage.payment_threads = 1;
     compiled_opts.stage.self_audit = true;
-    msoa_options legacy_opts = compiled_opts;
-    legacy_opts.stage.legacy_reference = true;
+    msoa_options reference_opts = compiled_opts;
+    reference_opts.stage.eager_reference = true;
 
     const auto via_compiled = run_msoa(instance, compiled_opts);
-    const auto via_legacy = run_msoa(instance, legacy_opts);
+    const auto via_reference = run_msoa(instance, reference_opts);
 
-    ASSERT_EQ(via_compiled.rounds.size(), via_legacy.rounds.size());
+    ASSERT_EQ(via_compiled.rounds.size(), via_reference.rounds.size());
     for (std::size_t r = 0; r < via_compiled.rounds.size(); ++r) {
-      expect_same_round(via_compiled.rounds[r], via_legacy.rounds[r],
+      expect_same_round(via_compiled.rounds[r], via_reference.rounds[r],
                         "msoa round");
     }
-    EXPECT_EQ(via_compiled.social_cost, via_legacy.social_cost);
-    EXPECT_EQ(via_compiled.total_payment, via_legacy.total_payment);
-    EXPECT_EQ(via_compiled.feasible, via_legacy.feasible);
-    EXPECT_EQ(via_compiled.alpha, via_legacy.alpha);
-    EXPECT_EQ(via_compiled.psi_final, via_legacy.psi_final);
-    EXPECT_EQ(via_compiled.capacity_used, via_legacy.capacity_used);
+    EXPECT_EQ(via_compiled.social_cost, via_reference.social_cost);
+    EXPECT_EQ(via_compiled.total_payment, via_reference.total_payment);
+    EXPECT_EQ(via_compiled.feasible, via_reference.feasible);
+    EXPECT_EQ(via_compiled.alpha, via_reference.alpha);
+    EXPECT_EQ(via_compiled.psi_final, via_reference.psi_final);
+    EXPECT_EQ(via_compiled.capacity_used, via_reference.capacity_used);
   }
 }
 
 // Standing-bid sessions: the same bid vector every round (the workload the
 // warm-start cache targets), requirements re-drawn per round. The warm
 // session must patch every round after the first and stay bit-identical to
-// both a cold-start compiled session and a legacy-path session.
-TEST(CompiledFuzz, WarmStartSessionMatchesColdAndLegacy) {
+// both a cold-start compiled session and an eager-reference session.
+TEST(CompiledFuzz, WarmStartSessionMatchesColdAndEagerReference) {
   rng gen(0xFACADEu);
   for (int trial = 0; trial < 10; ++trial) {
     instance_config cfg = fuzz_config(gen);
@@ -224,18 +208,18 @@ TEST(CompiledFuzz, WarmStartSessionMatchesColdAndLegacy) {
     warm_opts.stage.self_audit = true;
     msoa_options cold_opts = warm_opts;
     cold_opts.warm_start = false;
-    msoa_options legacy_opts = warm_opts;
-    legacy_opts.stage.legacy_reference = true;
+    msoa_options reference_opts = warm_opts;
+    reference_opts.stage.eager_reference = true;
 
     msoa_session warm(profiles, warm_opts);
     msoa_session cold(profiles, cold_opts);
-    msoa_session legacy(profiles, legacy_opts);
+    msoa_session reference(profiles, reference_opts);
     for (std::size_t t = 0; t < rounds; ++t) {
       const auto warm_out = warm.run_round(round_instances[t]);
       const auto cold_out = cold.run_round(round_instances[t]);
-      const auto legacy_out = legacy.run_round(round_instances[t]);
+      const auto reference_out = reference.run_round(round_instances[t]);
       expect_same_round(warm_out, cold_out, "warm vs cold");
-      expect_same_round(warm_out, legacy_out, "warm vs legacy");
+      expect_same_round(warm_out, reference_out, "warm vs eager_reference");
       for (seller_id s = 0; s <= max_seller; ++s) {
         EXPECT_EQ(warm.psi(s), cold.psi(s)) << "seller " << s;
         EXPECT_EQ(warm.capacity_used(s), cold.capacity_used(s))
@@ -244,7 +228,7 @@ TEST(CompiledFuzz, WarmStartSessionMatchesColdAndLegacy) {
     }
     EXPECT_EQ(warm.warm_rounds(), rounds - 1) << "trial " << trial;
     EXPECT_EQ(cold.warm_rounds(), 0u);
-    EXPECT_EQ(legacy.warm_rounds(), 0u);
+    EXPECT_EQ(reference.warm_rounds(), 0u);
   }
 }
 
@@ -266,9 +250,10 @@ TEST(CompiledFuzz, SimdEnvOverrideRespected) {
 }
 
 // Every vector tier the CPU supports must reproduce the forced-scalar run
-// bit for bit — winners, payments, audit verdicts, certificate — across
-// selection modes and payment rules. Instances are drawn so the kernels see
-// every interesting shape:
+// bit for bit — winners, payments, audit verdicts, certificate — under both
+// payment rules (the selection and runner-up scans, plus the probe
+// trajectories under critical_value). Instances are drawn
+// so the kernels see every interesting shape:
 //  - demander counts 8..16 make coverage-row lengths cross
 //    simd::kIndexedThreshold and cover every residue of n mod 4 (the widest
 //    int64 vector width), so every tail-loop length is exercised;
@@ -276,7 +261,7 @@ TEST(CompiledFuzz, SimdEnvOverrideRespected) {
 //    on arbitrary (misaligned) offsets into the coverage arena;
 //  - growing seller counts sweep the bid count over every residue mod 4
 //    for the ratio_argmin scans.
-TEST(CompiledFuzz, SimdTiersBitwiseIdenticalAcrossModes) {
+TEST(CompiledFuzz, SimdTiersBitwiseIdenticalAcrossRules) {
   std::vector<simd::level> tiers;
   for (const simd::level l : {simd::level::sse2, simd::level::avx2}) {
     if (static_cast<int>(l) <= static_cast<int>(simd::max_supported())) {
@@ -296,33 +281,27 @@ TEST(CompiledFuzz, SimdTiersBitwiseIdenticalAcrossModes) {
 
     for (const payment_rule rule :
          {payment_rule::runner_up, payment_rule::critical_value}) {
-      ssam_options opts;
-      opts.rule = rule;
-      opts.payment_threads = 1;
-      opts.self_audit = true;
+      // A budget that never binds still turns on the in-loop runner-up
+      // estimate scan under critical_value.
+      for (const double budget : {0.0, 1e12}) {
+        ssam_options opts;
+        opts.rule = rule;
+        opts.payment_budget = budget;
+        opts.payment_threads = 1;
+        opts.self_audit = true;
 
-      ssam_result scalar_eager, scalar_lazy;
-      {
-        const simd_tier_guard pin(simd::level::scalar);
-        ASSERT_EQ(pin.installed(), simd::level::scalar);
-        ssam_options mode_opts = opts;
-        mode_opts.selection = selection_mode::eager;
-        scalar_eager = run_ssam(inst, mode_opts, &scratch);
-        mode_opts.selection = selection_mode::lazy;
-        scalar_lazy = run_ssam(inst, mode_opts, &scratch);
-      }
-      expect_same_result(scalar_eager, scalar_lazy, "scalar eager/lazy");
-
-      for (const simd::level tier : tiers) {
-        const simd_tier_guard pin(tier);
-        ASSERT_EQ(pin.installed(), tier);
-        ssam_options mode_opts = opts;
-        mode_opts.selection = selection_mode::eager;
-        expect_same_result(scalar_eager, run_ssam(inst, mode_opts, &scratch),
-                           simd::to_string(tier));
-        mode_opts.selection = selection_mode::lazy;
-        expect_same_result(scalar_lazy, run_ssam(inst, mode_opts, &scratch),
-                           simd::to_string(tier));
+        ssam_result scalar_out;
+        {
+          const simd_tier_guard pin(simd::level::scalar);
+          ASSERT_EQ(pin.installed(), simd::level::scalar);
+          scalar_out = run_ssam(inst, opts, &scratch);
+        }
+        for (const simd::level tier : tiers) {
+          const simd_tier_guard pin(tier);
+          ASSERT_EQ(pin.installed(), tier);
+          expect_same_result(scalar_out, run_ssam(inst, opts, &scratch),
+                             simd::to_string(tier));
+        }
       }
     }
   }

@@ -59,12 +59,6 @@ void expect_same_compiled(const compiled_instance& a,
                            b.coverage_begin(i)))
         << "bid " << i;
   }
-  ASSERT_EQ(a.order().size(), b.order().size());
-  for (std::size_t p = 0; p < a.order().size(); ++p) {
-    EXPECT_EQ(a.order()[p].key, b.order()[p].key) << "order pos " << p;
-    EXPECT_EQ(a.order()[p].idx, b.order()[p].idx) << "order pos " << p;
-    EXPECT_EQ(a.order()[p].seller, b.order()[p].seller) << "order pos " << p;
-  }
 }
 
 // ----------------------------------------------------------------- compile
@@ -121,7 +115,7 @@ TEST(CompiledInstance, InvertedIndexListsCoveringBidsAscending) {
   }
 }
 
-TEST(CompiledInstance, InitialUtilitiesAndOrderSeed) {
+TEST(CompiledInstance, InitialUtilities) {
   const auto inst = small_instance();
   compiled_instance c;
   c.compile(inst);
@@ -130,29 +124,17 @@ TEST(CompiledInstance, InitialUtilitiesAndOrderSeed) {
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_EQ(c.initial_utility(i), expected_util[i]) << "bid " << i;
   }
-  // All four bids contribute; order ascending by price / U(∅):
-  // bid 2: 1.0, bid 1: 1.8, bid 0: 2.5, bid 3: 8/3.
-  ASSERT_EQ(c.order().size(), 4u);
-  const std::vector<std::uint32_t> expected_idx = {2, 1, 0, 3};
-  for (std::size_t p = 0; p < 4; ++p) {
-    const compiled_entry& e = c.order()[p];
-    EXPECT_EQ(e.idx, expected_idx[p]) << "pos " << p;
-    EXPECT_EQ(e.key, inst.bids[e.idx].price /
-                         static_cast<double>(expected_util[e.idx]));
-    EXPECT_EQ(e.seller, inst.bids[e.idx].seller);
-  }
 }
 
-TEST(CompiledInstance, ZeroUtilityBidsStayOutOfTheOrder) {
+TEST(CompiledInstance, BidCoveringOnlySatisfiedDemandersHasZeroUtility) {
   single_stage_instance inst;
   inst.requirements = {2, 0};
   inst.bids = {make_bid(0, {1}, 3, 5.0),   // covers only the zero demander
                make_bid(1, {0}, 2, 4.0)};
   compiled_instance c;
   c.compile(inst);
-  ASSERT_EQ(c.order().size(), 1u);
-  EXPECT_EQ(c.order()[0].idx, 1u);
   EXPECT_EQ(c.initial_utility(0), 0);
+  EXPECT_EQ(c.initial_utility(1), 2);
 }
 
 // ----------------------------------------------------- warm-start patching
@@ -174,7 +156,6 @@ TEST(CompiledInstance, PricePatchMatchesColdRecompile) {
   }
   inst.bids[1].price = 0.25;
   patched.set_price(1, 0.25);
-  patched.refresh_order();
 
   compiled_instance cold;
   cold.compile(inst);
@@ -196,7 +177,6 @@ TEST(CompiledInstance, RequirementPatchRederivesUtilities) {
   for (demander_id k = 0; k < inst.requirements.size(); ++k) {
     patched.set_requirement(k, inst.requirements[k]);
   }
-  patched.refresh_order();
 
   compiled_instance cold;
   cold.compile(inst);
@@ -221,7 +201,6 @@ TEST(CompiledInstance, RepeatedMixedPatchesStayExact) {
     patched.set_requirement(
         static_cast<demander_id>(round % inst.requirements.size()),
         inst.requirements[round % inst.requirements.size()]);
-    patched.refresh_order();
 
     compiled_instance cold;
     cold.compile(inst);
@@ -229,19 +208,16 @@ TEST(CompiledInstance, RepeatedMixedPatchesStayExact) {
   }
 }
 
-TEST(CompiledInstance, NoOpPatchLeavesOrderUntouched) {
+TEST(CompiledInstance, NoOpPatchLeavesViewUnchanged) {
   const auto inst = small_instance();
   compiled_instance c;
   c.compile(inst);
-  const auto before = c.order();
-  c.set_price(0, inst.bids[0].price);          // same value: no dirty mark
-  c.set_requirement(1, inst.requirements[1]);  // same value: no dirty mark
-  c.refresh_order();                           // nothing dirty: early out
-  ASSERT_EQ(c.order().size(), before.size());
-  for (std::size_t p = 0; p < before.size(); ++p) {
-    EXPECT_EQ(c.order()[p].idx, before[p].idx);
-    EXPECT_EQ(c.order()[p].key, before[p].key);
-  }
+  c.set_price(0, inst.bids[0].price);
+  c.set_requirement(1, inst.requirements[1]);
+
+  compiled_instance cold;
+  cold.compile(inst);
+  expect_same_compiled(c, cold);
 }
 
 TEST(CompiledInstance, PatchValidation) {
@@ -270,12 +246,10 @@ TEST(CompiledState, TracksCoverageStateExactly) {
   state.reset(c);
   const auto winners = greedy_selection(inst);
   for (std::size_t w : winners) {
-    for (std::size_t i = 0; i < inst.bids.size(); ++i) {
-      EXPECT_EQ(state.marginal_utility(c, i),
-                reference.marginal_utility(inst.bids[i]))
-          << "bid " << i;
-    }
     EXPECT_EQ(state.apply(c, w), reference.apply(inst.bids[w]));
+    for (demander_id k = 0; k < inst.requirements.size(); ++k) {
+      EXPECT_EQ(state.remaining(k), reference.remaining(k)) << "demander " << k;
+    }
     EXPECT_EQ(state.deficit(), reference.deficit());
     EXPECT_EQ(state.satisfied(), reference.satisfied());
   }
@@ -292,22 +266,15 @@ TEST(ScoredState, MaintainsExactUtilitiesThroughApplies) {
 
   scored_state scored;
   scored.reset(c);
-  compiled_state reference;
-  reference.reset(c);
-  std::vector<std::uint32_t> dirty;
+  coverage_state reference(inst.requirements);
   const auto winners = greedy_selection(inst);
   for (std::size_t w : winners) {
-    dirty.clear();
-    const units gain = scored.apply(c, w, dirty);
-    EXPECT_EQ(gain, reference.apply(c, w));
-    // Reported dirty bids are unique and every bid's cached utility is the
-    // exact recomputed marginal utility (changed or not).
-    std::vector<std::uint32_t> sorted_dirty = dirty;
-    std::sort(sorted_dirty.begin(), sorted_dirty.end());
-    EXPECT_TRUE(std::adjacent_find(sorted_dirty.begin(), sorted_dirty.end()) ==
-                sorted_dirty.end());
+    EXPECT_EQ(scored.apply(c, w), reference.apply(inst.bids[w]));
+    EXPECT_EQ(scored.deficit(), reference.deficit());
+    // Every bid's cached utility is the exact recomputed marginal utility
+    // (changed or not).
     for (std::size_t i = 0; i < c.bid_count(); ++i) {
-      EXPECT_EQ(scored.utility(i), reference.marginal_utility(c, i))
+      EXPECT_EQ(scored.utility(i), reference.marginal_utility(inst.bids[i]))
           << "bid " << i << " after applying " << w;
     }
   }
@@ -341,15 +308,12 @@ TEST(RunSsamCompiledOverload, MatchesBidVectorEntry) {
   EXPECT_EQ(via_bids.total_payment, via_compiled.total_payment);
 }
 
-TEST(RunSsamCompiledOverload, RejectsReferenceModes) {
+TEST(RunSsamCompiledOverload, RejectsEagerReference) {
   const auto inst = small_instance();
   compiled_instance c;
   c.compile(inst);
   ssam_options opts;
   opts.eager_reference = true;
-  EXPECT_THROW(run_ssam(c, opts), check_error);
-  opts = ssam_options{};
-  opts.legacy_reference = true;
   EXPECT_THROW(run_ssam(c, opts), check_error);
 }
 

@@ -63,22 +63,23 @@ TEST_P(SingleStageFuzz, CrossSolverInvariants) {
     EXPECT_EQ(ssam.winners[i].bid_index, ssam_cv.winners[i].bid_index);
   }
 
-  // The lazy heap must reproduce the eager scan's winner sequence exactly
-  // (same order, same tie-breaks), and the full lazy/parallel mechanism must
-  // reproduce the legacy serial path bit-for-bit: same winners, same
-  // critical-value payments (the bisection tolerance is shared, and every
-  // probe decides the same verdict whether or not it exits early).
+  // The compiled selection must reproduce the eager scan's winner sequence
+  // exactly (same order, same tie-breaks), and the full compiled/parallel
+  // mechanism must reproduce the serial eager oracle bit-for-bit: same
+  // winners, same critical-value payments (the bisection tolerance is
+  // shared, and every trajectory probe decides the same verdict as a full
+  // replay).
   EXPECT_EQ(greedy_selection(inst), eager_greedy_selection(inst));
-  ssam_options legacy = critical;
-  legacy.eager_reference = true;
-  legacy.payment_threads = 1;
-  const auto ssam_legacy = run_ssam(inst, legacy);
-  ASSERT_EQ(ssam_cv.winners.size(), ssam_legacy.winners.size());
+  ssam_options reference = critical;
+  reference.eager_reference = true;
+  reference.payment_threads = 1;
+  const auto ssam_ref = run_ssam(inst, reference);
+  ASSERT_EQ(ssam_cv.winners.size(), ssam_ref.winners.size());
   for (std::size_t i = 0; i < ssam_cv.winners.size(); ++i) {
-    EXPECT_EQ(ssam_cv.winners[i].bid_index, ssam_legacy.winners[i].bid_index);
-    EXPECT_DOUBLE_EQ(ssam_cv.winners[i].payment, ssam_legacy.winners[i].payment);
+    EXPECT_EQ(ssam_cv.winners[i].bid_index, ssam_ref.winners[i].bid_index);
+    EXPECT_DOUBLE_EQ(ssam_cv.winners[i].payment, ssam_ref.winners[i].payment);
   }
-  EXPECT_DOUBLE_EQ(ssam_cv.total_payment, ssam_legacy.total_payment);
+  EXPECT_DOUBLE_EQ(ssam_cv.total_payment, ssam_ref.total_payment);
 
   // Exact solver / LP bound ordering: LP <= OPT <= SSAM <= W·Ξ·OPT.
   const auto opt = solve_exact(inst, 400000);

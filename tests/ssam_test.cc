@@ -2,13 +2,16 @@
 // payments, feasibility, the dual certificate, and Theorem 2/3 behaviour.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 
 #include "auction/exact.h"
 #include "auction/instance_gen.h"
+#include "auction/msoa.h"
 #include "auction/properties.h"
 #include "auction/ssam.h"
 #include "common/check.h"
+#include "common/checkpoint.h"
 #include "common/rng.h"
 #include "common/statistics.h"
 
@@ -165,6 +168,23 @@ TEST(RunSsam, ValidatesInstance) {
   inst.requirements = {1};
   inst.bids = {make_bid(0, {0}, 1, -3.0)};
   EXPECT_THROW(run_ssam(inst), check_error);
+
+  // A negative and a NaN price: every entry point must reject the instance
+  // instead of selecting (or pricing) the invalid bids.
+  single_stage_instance bad_prices;
+  bad_prices.requirements = {2, 2};
+  bad_prices.bids = {make_bid(0, {0}, 2, -5.0), make_bid(1, {0, 1}, 2, 4.0),
+                     make_bid(2, {1}, 2, std::nan(""))};
+  EXPECT_THROW((void)greedy_selection(bad_prices), check_error);
+  EXPECT_THROW((void)eager_greedy_selection(bad_prices), check_error);
+  EXPECT_THROW((void)wins_with_price(bad_prices, 0, 1.0), check_error);
+  EXPECT_THROW((void)critical_value_payment(bad_prices, 0), check_error);
+
+  // A coverage id past the requirement vector.
+  single_stage_instance bad_coverage;
+  bad_coverage.requirements = {2};
+  bad_coverage.bids = {make_bid(0, {0}, 2, 1.0), make_bid(1, {0, 7}, 2, 2.0)};
+  EXPECT_THROW((void)eager_greedy_selection(bad_coverage), check_error);
 }
 
 // --------------------------------------------------------- wins_with_price
@@ -293,9 +313,9 @@ TEST(SsamSingleBidPerSeller, CloseToOptimalOnSmallInstances) {
 
 // ------------------------------------------- compiled-path equivalence
 
-TEST(CompiledEquivalence, ReferencePathsMatchDefaultOnRandomInstances) {
-  // Smoke-level check that the compiled CSR default and both bid-vector
-  // reference paths agree bit for bit (tests/compiled_fuzz_test.cc is the
+TEST(CompiledEquivalence, EagerReferenceMatchesDefaultOnRandomInstances) {
+  // Smoke-level check that the compiled CSR engine and the eager bid-vector
+  // oracle agree bit for bit (tests/compiled_fuzz_test.cc is the
   // heavyweight sweep).
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     rng gen(seed);
@@ -312,49 +332,112 @@ TEST(CompiledEquivalence, ReferencePathsMatchDefaultOnRandomInstances) {
 
       ssam_options eager_ref = opts;
       eager_ref.eager_reference = true;
-      ssam_options legacy_ref = opts;
-      legacy_ref.legacy_reference = true;
-      for (const auto& other :
-           {run_ssam(inst, eager_ref), run_ssam(inst, legacy_ref)}) {
-        ASSERT_EQ(base.winners.size(), other.winners.size());
-        for (std::size_t pos = 0; pos < base.winners.size(); ++pos) {
-          EXPECT_EQ(base.winners[pos].bid_index, other.winners[pos].bid_index);
-          EXPECT_EQ(base.winners[pos].payment, other.winners[pos].payment);
-        }
-        EXPECT_EQ(base.social_cost, other.social_cost);
-        EXPECT_EQ(base.total_payment, other.total_payment);
-        EXPECT_EQ(base.feasible, other.feasible);
+      const auto other = run_ssam(inst, eager_ref);
+      ASSERT_EQ(base.winners.size(), other.winners.size());
+      for (std::size_t pos = 0; pos < base.winners.size(); ++pos) {
+        EXPECT_EQ(base.winners[pos].bid_index, other.winners[pos].bid_index);
+        EXPECT_EQ(base.winners[pos].payment, other.winners[pos].payment);
+      }
+      EXPECT_EQ(base.social_cost, other.social_cost);
+      EXPECT_EQ(base.total_payment, other.total_payment);
+      EXPECT_EQ(base.feasible, other.feasible);
+    }
+  }
+}
+
+// Every output field the compiled-path fuzz compares bit for bit
+// (tests/compiled_fuzz_test.cc, expect_same_result), appended in a fixed
+// order; doubles go in as their bit patterns.
+void digest_result(checkpoint_writer& w, const ssam_result& r) {
+  w.size(r.winners.size());
+  for (const winning_bid& win : r.winners) {
+    w.size(win.bid_index);
+    w.f64(win.payment);
+    w.i64(win.utility_at_selection);
+    w.f64(win.ratio_at_selection);
+  }
+  w.u8(r.feasible ? 1 : 0);
+  w.f64(r.social_cost);
+  w.f64(r.total_payment);
+  w.size(r.budget_dropped);
+  w.size(r.unit_shares.size());
+  for (const double f : r.unit_shares) w.f64(f);
+  w.f64(r.xi);
+  w.f64(r.harmonic);
+  w.f64(r.ratio_bound);
+}
+
+// Fixed golden digest of the production SSAM outputs: a seeded instance
+// set under both payment rules with the budget unlimited and binding, one
+// critical-value MSOA horizon, and the wins_with_price verdicts at a ladder
+// of report factors. Any change to a winner, a payment bit, the budget
+// re-check or a probe verdict changes the constant.
+TEST(CompiledEquivalence, MatchesGoldenDigest) {
+  constexpr std::uint64_t kGoldenDigest = 0x903b6cd1fa0f8525ULL;
+  checkpoint_writer w;
+  rng gen(0x601DE9u);
+  std::size_t budget_drops = 0;
+  for (int trial = 0; trial < 32; ++trial) {
+    instance_config cfg;
+    cfg.sellers = 4 + gen.uniform_int(0, 30);
+    cfg.demanders = 1 + gen.uniform_int(0, 6);
+    cfg.bids_per_seller = 1 + gen.uniform_int(0, 3);
+    cfg.amount_hi = 1 + gen.uniform_int(0, 9);
+    const auto inst = random_instance(cfg, gen);
+
+    ssam_options unlimited;
+    unlimited.payment_threads = 1;
+    const double runner_up_total = run_ssam(inst, unlimited).total_payment;
+    for (const payment_rule rule :
+         {payment_rule::runner_up, payment_rule::critical_value}) {
+      for (const double budget : {0.0, 0.75 * runner_up_total}) {
+        ssam_options opts = unlimited;
+        opts.rule = rule;
+        opts.payment_budget = budget;
+        const auto res = run_ssam(inst, opts);
+        budget_drops += res.budget_dropped > 0 ? 1 : 0;
+        digest_result(w, res);
+      }
+    }
+    for (std::size_t idx = 0; idx < inst.bids.size(); ++idx) {
+      for (const double factor : {0.0, 0.25, 1.0, 4.0, 64.0}) {
+        w.u8(wins_with_price(inst, idx, factor * inst.bids[idx].price) ? 1
+                                                                       : 0);
       }
     }
   }
-}
+  EXPECT_GT(budget_drops, 0u) << "no instance exercised the budget re-check";
 
-TEST(CompiledEquivalence, SelectionModesAreAPurePerformanceKnob) {
-  rng gen(11);
-  instance_config cfg;
-  cfg.sellers = 25;
-  cfg.demanders = 5;
-  const auto inst = random_instance(cfg, gen);
-  const auto base = greedy_selection(inst);
-  EXPECT_EQ(base, eager_greedy_selection(inst));
-  for (const selection_mode mode :
-       {selection_mode::eager, selection_mode::lazy}) {
-    ssam_options opts;
-    opts.selection = mode;
-    const auto res = run_ssam(inst, opts);
-    ASSERT_EQ(res.winners.size(), base.size());
-    for (std::size_t pos = 0; pos < base.size(); ++pos) {
-      EXPECT_EQ(res.winners[pos].bid_index, base[pos]);
-    }
+  online_config online;
+  online.stage.sellers = 12;
+  online.stage.demanders = 4;
+  online.rounds = 6;
+  online.seller_price_bias = 0.2;
+  const auto horizon = random_online_instance(online, gen);
+  msoa_options msoa;
+  msoa.stage.rule = payment_rule::critical_value;
+  msoa.stage.payment_threads = 1;
+  const auto outcome = run_msoa(horizon, msoa);
+  w.size(outcome.rounds.size());
+  for (const msoa_round_outcome& round : outcome.rounds) {
+    w.u32(round.round);
+    w.size(round.admitted_bids);
+    for (const std::size_t b : round.winner_bids) w.size(b);
+    for (const double p : round.true_prices) w.f64(p);
+    for (const double p : round.payments) w.f64(p);
+    w.f64(round.social_cost);
+    w.u8(round.feasible ? 1 : 0);
+    digest_result(w, round.stage);
   }
-}
+  w.f64(outcome.social_cost);
+  w.f64(outcome.total_payment);
+  w.u8(outcome.feasible ? 1 : 0);
+  w.f64(outcome.alpha);
+  for (const double psi : outcome.psi_final) w.f64(psi);
+  for (const units used : outcome.capacity_used) w.i64(used);
 
-TEST(CompiledEquivalence, AtMostOneReferencePathPerCall) {
-  const auto inst = two_seller_instance();
-  ssam_options opts;
-  opts.eager_reference = true;
-  opts.legacy_reference = true;
-  EXPECT_THROW(run_ssam(inst, opts), check_error);
+  EXPECT_EQ(fnv1a64(w.payload()), kGoldenDigest)
+      << std::hex << "digest 0x" << fnv1a64(w.payload());
 }
 
 // --------------------------------------------------------------- runtime

@@ -3,8 +3,7 @@
 //  - every ported experiment driver emits a byte-identical table for any
 //    thread count (the ISSUE/acceptance gate for harness::sweep_runner);
 //  - run_ssam / greedy_selection results are bit-identical with a fresh
-//    workspace, a persistent (dirty) workspace, and no workspace at all;
-//  - the three selection modes pick identical winners.
+//    workspace, a persistent (dirty) workspace, and no workspace at all.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -201,29 +200,6 @@ TEST(ScratchReuse, FuzzEquivalentToFreshAllocation) {
               auction::greedy_selection(instance, &persistent));
     EXPECT_EQ(auction::eager_greedy_selection(instance, nullptr),
               auction::eager_greedy_selection(instance, &persistent));
-  }
-}
-
-TEST(ScratchReuse, SelectionModesAgree) {
-  rng gen(99);
-  auction::ssam_scratch scratch;
-  for (std::size_t iter = 0; iter < 40; ++iter) {
-    const auto sellers = static_cast<std::size_t>(gen.uniform_int(2, 12));
-    const auto instance = auction::random_instance(
-        harness::internal::paper_stage(sellers, 4, 2), gen);
-    auction::ssam_result results[3];
-    const auction::selection_mode modes[3] = {
-        auction::selection_mode::automatic, auction::selection_mode::eager,
-        auction::selection_mode::lazy};
-    for (int m = 0; m < 3; ++m) {
-      auction::ssam_options opts;
-      opts.rule = (iter % 2 == 0) ? auction::payment_rule::critical_value
-                                  : auction::payment_rule::runner_up;
-      opts.selection = modes[m];
-      results[m] = auction::run_ssam(instance, opts, &scratch);
-    }
-    expect_same_result(results[0], results[1], "automatic vs eager");
-    expect_same_result(results[0], results[2], "automatic vs lazy");
   }
 }
 
