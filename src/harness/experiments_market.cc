@@ -141,8 +141,10 @@ table marketplace_rounds(const marketplace_config& cfg) {
         static_cast<long long>(result.unmet_units),
         std::string(result.feasible ? "yes" : "no")};
     if (cfg.perf_columns) {
-      row.push_back(static_cast<long long>(allocs_after - allocs_before));
-      row.push_back(mkt.last_timing().spill_assembly_ms);
+      // emplace_back, not push_back: gcc 12 reports moving a temporary
+      // variant into the row as -Wmaybe-uninitialized.
+      row.emplace_back(static_cast<long long>(allocs_after - allocs_before));
+      row.emplace_back(mkt.last_timing().spill_assembly_ms);
     }
     out.add_row(std::move(row));
   }

@@ -1,6 +1,7 @@
 #include "simrun/daemon.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "common/check.h"
@@ -83,8 +84,10 @@ daemon::daemon(daemon_setup setup)
       topo_(std::move(setup.topology)),
       market_(topo_, setup.sellers, setup.market),
       ingestor_(setup.ingest, std::move(setup.standing)) {
-  ECRS_CHECK_MSG(config_.round_duration > 0.0,
-                 "round duration must be positive");
+  ECRS_CHECK_MSG(std::isfinite(config_.round_duration) &&
+                     config_.round_duration > 0.0,
+                 "round duration must be finite and positive, got "
+                     << config_.round_duration);
   ECRS_CHECK_MSG(config_.base_allocation >= 0.0 &&
                      config_.resources_per_unit >= 0.0,
                  "allocation coupling must be non-negative");
@@ -131,16 +134,9 @@ void daemon::catch_up(std::uint32_t m, double now) {
   }
 }
 
-void daemon::deliver(std::size_t i) {
-  const workload::request& r = batch_[i];
-  edge::microservice& svc = cluster_.service(r.microservice);
-  const double now = sim_.now();
-  double& mark = service_clock_[r.microservice];
-  if (now > mark) {
-    svc.advance(mark, now - mark);
-    mark = now;
-  }
-  svc.enqueue(r);
+void daemon::deliver(const workload::request& r) {
+  catch_up(r.microservice, r.arrival_time);
+  cluster_.service(r.microservice).enqueue(r);
   ++delivered_;
 }
 
@@ -214,19 +210,17 @@ void daemon::run_one_round() {
   apply_churn(r);
 
   gen_.round_into(start, dur, batch_);
-  if (!batch_.empty()) {
-    arrivals_.resize(batch_.size());
-    for (std::size_t i = 0; i < batch_.size(); ++i) {
-      arrivals_[i] = batch_[i].arrival_time;
-    }
-    sim_.schedule_stream(arrivals_,
-                         [this](std::size_t i) { deliver(i); });
+  // The batch is the round's only event source, so delivering it in
+  // arrival order is the whole event loop.
+  double previous = start;
+  for (const workload::request& req : batch_) {
+    ECRS_CHECK_MSG(req.arrival_time >= previous,
+                   "arrivals out of order at request " << req.id);
+    ECRS_CHECK_MSG(req.arrival_time <= end,
+                   "request " << req.id << " arrives past the round end");
+    previous = req.arrival_time;
+    deliver(req);
   }
-  sim_.run_until(end);
-  // The stream must have fully drained: batch_ and arrivals_ are reused
-  // next round, so a leaked cursor would read recycled storage.
-  ECRS_CHECK_MSG(sim_.pending_events() == 0,
-                 "arrivals leaked past the round boundary");
 
   const auto services =
       static_cast<std::uint32_t>(cluster_.microservice_count());
@@ -266,7 +260,7 @@ void daemon::save(ecrs::checkpoint_writer& w) const {
 }
 
 void daemon::load(ecrs::checkpoint_reader& r) {
-  ECRS_CHECK_MSG(completed_ == 0 && sim_.now() == 0.0,
+  ECRS_CHECK_MSG(completed_ == 0,
                  "checkpoints restore into a freshly constructed daemon");
   completed_ = r.u64();
   delivered_ = r.u64();

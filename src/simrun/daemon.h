@@ -5,10 +5,11 @@
 //
 //   1. scenario: set the round's arrival-rate multiplier (diurnal cycle,
 //      flash crowds — simrun/scenario.h) and apply seller churn events;
-//   2. simulate: generate the round's request batch, register it as one
-//      DES stream (des::simulator::schedule_stream) and run the event
-//      clock to the round boundary — every request is delivered at its
-//      exact arrival timestamp, queues advance lazily per microservice;
+//   2. simulate: generate the round's request batch, already in arrival
+//      order, and deliver it in a plain loop — every request is delivered
+//      at its exact arrival timestamp, queues advance lazily per
+//      microservice. The batch is the round's only event source, so no
+//      event queue is needed;
 //   3. observe: close each microservice's round directly into the demand
 //      estimator's streaming path (demand::estimator::observe — no
 //      round_stats vector is materialized) and finalize the round's
@@ -22,12 +23,12 @@
 //      coverage minus deficits plus spillover awards) become its service
 //      rate for the next round — allocation = base + per_unit · granted.
 //
-// Steady state is allocation-free and rebuild-free: the batch/arrival
-// buffers, estimator history, ingest accumulators, shard warm-start
-// caches and spillover pools all reuse their storage, so the per-round
-// observe → estimate → ingest → auction chain performs zero heap
-// allocations once warm (tests/daemon_test.cc gates the observe → ingest
-// part through the chain probe).
+// Steady state is allocation-free and rebuild-free: the batch buffer, the
+// generator's ordering buffers, estimator history, ingest accumulators,
+// shard warm-start caches and spillover pools all reuse their storage, so
+// the per-round observe → estimate → ingest → auction chain performs zero
+// heap allocations once warm (tests/daemon_test.cc gates the observe →
+// ingest part through the chain probe).
 //
 // Checkpoint/restore: save() at any round boundary captures the complete
 // dynamic state (generator rng, per-microservice queues with exact FP
@@ -47,7 +48,6 @@
 #include "common/annotations.h"
 #include "common/checkpoint.h"
 #include "demand/estimator.h"
-#include "des/simulator.h"
 #include "edge/cluster.h"
 #include "edge/topology.h"
 #include "market/ingest.h"
@@ -143,8 +143,8 @@ class daemon {
   void run_one_round();
   void apply_churn(std::uint64_t round);
   [[nodiscard]] churn_event churn_target(std::uint64_t ordinal) const;
-  // Deliver batch_[i] at its arrival timestamp (stream drain callback).
-  ECRS_HOT void deliver(std::size_t i);
+  // Deliver a request at its arrival timestamp.
+  ECRS_HOT void deliver(const workload::request& r);
   // Advance service `m` to simulated time `now` from its own clock.
   ECRS_HOT void catch_up(std::uint32_t m, double now);
   // Close the loop: turn the round's coverage into next-round allocations.
@@ -158,7 +158,6 @@ class daemon {
   edge::topology topo_;  // must outlive market_
   market::marketplace market_;
   market::round_ingestor ingestor_;
-  des::simulator sim_;
   round_callback callback_;
   chain_probe probe_;
   std::uint64_t config_hash_ = 0;
@@ -166,7 +165,6 @@ class daemon {
   std::vector<std::uint32_t> population_;     // per microservice, static
   // Round-scoped buffers, reused so steady-state rounds do not allocate.
   std::vector<workload::request> batch_;
-  std::vector<des::sim_time> arrivals_;
   std::vector<double> estimates_;
   std::vector<auction::units> granted_;
   market::marketplace_round market_out_;

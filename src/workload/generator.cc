@@ -3,10 +3,82 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 
 #include "common/check.h"
 
 namespace ecrs::workload {
+namespace {
+
+void check_window(double round_start, double duration) {
+  ECRS_CHECK_MSG(std::isfinite(round_start),
+                 "round start must be finite, got " << round_start);
+  ECRS_CHECK_MSG(std::isfinite(duration) && duration > 0.0,
+                 "round duration must be finite and positive, got "
+                     << duration);
+  ECRS_CHECK_MSG(std::isfinite(round_start + duration),
+                 "round end must be finite");
+}
+
+}  // namespace
+
+void order_arrivals(std::span<request> batch, double round_start,
+                    double duration, arrival_order_scratch& scratch) {
+  check_window(round_start, duration);
+  const std::size_t size = batch.size();
+  if (size < 2) return;
+  ECRS_CHECK_MSG(size <= std::numeric_limits<std::uint32_t>::max(),
+                 "batch too large to order");
+  const auto n = static_cast<std::uint32_t>(size);
+  const double scale = static_cast<double>(n) / duration;
+  const double last = static_cast<double>(n - 1);
+  // Monotone in the arrival time; NaN and early times land in bucket 0.
+  const auto bucket = [&](const request& r) -> std::uint32_t {
+    const double x = (r.arrival_time - round_start) * scale;
+    if (!(x > 0.0)) return 0;
+    return x >= last ? n - 1 : static_cast<std::uint32_t>(x);
+  };
+
+  // Counts, then prefix sums: bucket_end[b] is where bucket b starts.
+  std::vector<std::uint32_t>& end = scratch.bucket_end;
+  std::vector<std::uint32_t>& source = scratch.source;
+  end.assign(n, 0);
+  source.resize(n);
+  for (const request& r : batch) ++end[bucket(r)];
+  std::uint32_t offset = 0;
+  for (std::uint32_t& slot : end) {
+    const std::uint32_t count = slot;
+    slot = offset;
+    offset += count;
+  }
+  // Stable scatter of indices; afterwards bucket_end[b] is where b ends.
+  for (std::uint32_t i = 0; i < n; ++i) source[end[bucket(batch[i])]++] = i;
+
+  // Gather along each cycle of the permutation: slot p takes the request at
+  // source[p]. A finished slot is marked source[p] == p.
+  for (std::uint32_t i = 0; i < n; ++i) {
+    if (source[i] == i) continue;
+    const request held = batch[i];
+    std::uint32_t p = i;
+    for (;;) {
+      const std::uint32_t from = source[p];
+      source[p] = p;
+      if (from == i) {
+        batch[p] = held;
+        break;
+      }
+      batch[p] = batch[from];
+      p = from;
+    }
+  }
+
+  // Buckets are already in order relative to each other; sort within each.
+  std::uint32_t begin = 0;
+  for (const std::uint32_t stop : end) {
+    std::sort(batch.begin() + begin, batch.begin() + stop, arrives_before);
+    begin = stop;
+  }
+}
 
 generator::generator(generator_config config)
     : config_(config), gen_(config.seed) {
@@ -81,7 +153,7 @@ std::vector<request> generator::round(double round_start, double duration) {
 
 void generator::round_into(double round_start, double duration,
                            std::vector<request>& batch) {
-  ECRS_CHECK_MSG(duration > 0.0, "round duration must be positive");
+  check_window(round_start, duration);
   batch.clear();
   // Expected count plus ~4 sigma of Poisson headroom: typical rounds fill
   // the reservation without regrowing, so a reused buffer stops allocating
@@ -125,12 +197,7 @@ void generator::round_into(double round_start, double duration,
       }
     }
   }
-  // Arrival order; delay-sensitive first among (rare) equal timestamps — the
-  // paper gives them priority.
-  std::sort(batch.begin(), batch.end(), [](const request& a, const request& b) {
-    if (a.arrival_time != b.arrival_time) return a.arrival_time < b.arrival_time;
-    return static_cast<int>(a.qos) < static_cast<int>(b.qos);
-  });
+  order_arrivals(batch, round_start, duration, order_scratch_);
 }
 
 void generator::set_rate_scale(double scale) {

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/checkpoint.h"
@@ -39,8 +40,36 @@ struct generator_config {
   std::uint64_t seed = 42;
 };
 
-// Per-round batch: the requests that arrived during one auction round,
-// sorted by arrival time, delay-sensitive first among equal times (priority).
+// The arrival order, a total order: arrival time, then QoS class
+// (delay-sensitive first among equal times, the paper's priority), then
+// request id.
+[[nodiscard]] inline bool arrives_before(const request& a, const request& b) {
+  if (a.arrival_time != b.arrival_time) return a.arrival_time < b.arrival_time;
+  if (a.qos != b.qos) return a.qos < b.qos;
+  return a.id < b.id;
+}
+
+// Index buffers order_arrivals reuses from call to call.
+struct arrival_order_scratch {
+  std::vector<std::uint32_t> bucket_end;  // per bucket: where it ends
+  std::vector<std::uint32_t> source;      // per slot: the index it takes
+};
+
+// Sort `batch` in place by arrives_before in O(n) expected time, for
+// arrivals spread over [round_start, round_start + duration]. Request i goes
+// to bucket floor((t_i - round_start) * n / duration), clamped to
+// [0, n - 1]; the key is monotone in t, so bucket order is already arrival
+// order. The bucket counts become target slots, the permutation is applied
+// in place by following its cycles, and each bucket is then std::sort-ed on
+// its own; most hold a handful of requests, and a batch whose times all
+// coincide stays O(n log n). Arrival times outside the window are still
+// ordered correctly, only more slowly. Needs finite `round_start` and a
+// finite positive `duration`.
+void order_arrivals(std::span<request> batch, double round_start,
+                    double duration, arrival_order_scratch& scratch);
+
+// Per-round batch: the requests that arrived during one auction round, in
+// the arrives_before order.
 class generator final : public round_source {
  public:
   explicit generator(generator_config config);
@@ -58,13 +87,16 @@ class generator final : public round_source {
   // config.regions; deterministic, no rng involved).
   [[nodiscard]] std::uint32_t region_of(std::uint32_t microservice) const;
 
-  // Generate all requests arriving in [round_start, round_start + duration).
+  // Generate all requests arriving in [round_start, round_start + duration),
+  // in the arrives_before order. `round_start` and the round end must be
+  // finite and `duration` positive.
   [[nodiscard]] std::vector<request> round(double round_start,
                                            double duration);
 
   // Same stream of requests, written into a caller-owned buffer: `batch` is
   // cleared, reserved from expected_arrivals_per_round(), and refilled, so
-  // a driver that reuses one buffer pays no allocation in steady state.
+  // a driver that reuses one buffer pays no allocation in steady state (the
+  // ordering's index buffers are the generator's and are reused too).
   void round_into(double round_start, double duration,
                   std::vector<request>& batch) override;
 
@@ -96,6 +128,7 @@ class generator final : public round_source {
   // one uniform draw instead of rejection sampling the full id space.
   std::vector<std::uint32_t> sensitive_ids_;
   std::vector<std::uint32_t> tolerant_ids_;
+  arrival_order_scratch order_scratch_;
 };
 
 }  // namespace ecrs::workload

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <new>
 #include <string>
 #include <utility>
@@ -33,20 +34,28 @@ std::atomic<std::uint64_t> g_allocations{0};
 
 }  // namespace
 
-void* operator new(std::size_t size) {
+// The replacements stay out of line: inlined into a caller, they would show
+// the optimizer malloc() on one side and free() on the other of a pair it
+// otherwise knows as operator new / operator delete, and gcc would report
+// the pair as mismatched (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
 
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+[[gnu::noinline]] void* operator new(std::size_t size,
+                                     const std::nothrow_t&) noexcept {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   return std::malloc(size);
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept {
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
   std::free(p);
 }
 
@@ -275,6 +284,41 @@ TEST(Daemon, CheckpointResumeByteIdenticalAtEveryRoundBoundary) {
   }
 }
 
+// FNV-1a over every round's digest words and the final checkpoint bytes of
+// a `rounds`-round run, with enough users that each round's batch carries
+// hundreds of arrivals and their delivery order reaches the queues' sums.
+std::uint64_t golden_hash(daemon_setup setup, std::uint64_t rounds) {
+  setup.workload.users = 60;
+  daemon d(std::move(setup));
+  std::vector<std::vector<std::uint64_t>> digests(rounds);
+  record_rounds(d, digests);
+  d.run_rounds(rounds);
+  ecrs::checkpoint_writer w;
+  for (const std::vector<std::uint64_t>& round : digests) {
+    for (const std::uint64_t word : round) w.u64(word);
+  }
+  for (const std::uint8_t byte : save_bytes(d)) w.u8(byte);
+  return ecrs::fnv1a64(w.payload());
+}
+
+// Pins the closed loop to fixed bytes: a plain setup, and one with flash
+// crowds and seller churn, so that the generator's arrival order, delivery,
+// the queues, the estimator, the auction and the checkpoint layout all have
+// to reproduce exactly what they computed when the values were recorded.
+TEST(Daemon, MatchesGoldenDigest) {
+  constexpr std::uint64_t kPlainGolden = 0x360b5e56a5aaf568ULL;
+  constexpr std::uint64_t kScenarioGolden = 0x21c536a4a02373fcULL;
+  EXPECT_EQ(golden_hash(make_setup(11), 12), kPlainGolden);
+
+  daemon_config cfg = make_config();
+  cfg.scenario.flash_every = 4;
+  cfg.scenario.flash_duration = 2;
+  cfg.scenario.flash_factor = 4.0;
+  cfg.scenario.churn_every = 3;
+  cfg.scenario.churn_downtime = 4;
+  EXPECT_EQ(golden_hash(make_setup(12, cfg), 12), kScenarioGolden);
+}
+
 std::vector<char> read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
@@ -457,6 +501,13 @@ TEST(Daemon, RejectsInconsistentSetups) {
     daemon_setup s = make_setup(9);
     s.config.round_duration = 0.0;
     s.estimator.round_duration = 0.0;
+    EXPECT_THROW(daemon{std::move(s)}, check_error);
+  }
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    daemon_setup s = make_setup(9);
+    s.config.round_duration = bad;
+    s.estimator.round_duration = bad;
     EXPECT_THROW(daemon{std::move(s)}, check_error);
   }
 }

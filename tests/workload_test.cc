@@ -1,8 +1,13 @@
 // Unit tests for workload arrival processes, the generator, and traces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -88,7 +93,7 @@ TEST(Generator, ArrivalsSortedWithinRound) {
   generator g(cfg);
   const auto batch = g.round(10.0, 60.0);
   for (std::size_t i = 1; i < batch.size(); ++i) {
-    EXPECT_LE(batch[i - 1].arrival_time, batch[i].arrival_time);
+    EXPECT_TRUE(arrives_before(batch[i - 1], batch[i]));
   }
   for (const request& r : batch) {
     EXPECT_GE(r.arrival_time, 10.0);
@@ -213,6 +218,158 @@ TEST(Generator, RejectsBadConfig) {
   cfg.microservices = 1;
   cfg.mean_service_demand = 0.0;
   EXPECT_THROW(generator{cfg}, check_error);
+}
+
+TEST(Generator, RejectsNonFiniteRoundWindow) {
+  generator g(generator_config{});
+  std::vector<request> batch;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(g.round_into(0.0, inf, batch), check_error);
+  EXPECT_THROW(g.round_into(0.0, nan, batch), check_error);
+  EXPECT_THROW(g.round_into(inf, 10.0, batch), check_error);
+  EXPECT_THROW(g.round_into(nan, 10.0, batch), check_error);
+  EXPECT_THROW(g.round_into(std::numeric_limits<double>::max(),
+                            std::numeric_limits<double>::max(), batch),
+               check_error);  // the round end overflows
+  EXPECT_THROW(g.round_into(0.0, 0.0, batch), check_error);
+  EXPECT_THROW((void)g.round(0.0, inf), check_error);
+}
+
+// ---------------------------------------------------------- arrival order
+
+request arrival(std::uint64_t id, double time,
+                qos_class qos = qos_class::delay_tolerant) {
+  request r;
+  r.id = id;
+  r.qos = qos;
+  r.arrival_time = time;
+  return r;
+}
+
+std::vector<std::uint64_t> ids_of(const std::vector<request>& batch) {
+  std::vector<std::uint64_t> ids;
+  ids.reserve(batch.size());
+  for (const request& r : batch) ids.push_back(r.id);
+  return ids;
+}
+
+// order_arrivals's result, as request ids.
+std::vector<std::uint64_t> ordered_ids(std::vector<request> batch,
+                                       double round_start, double duration) {
+  arrival_order_scratch scratch;
+  order_arrivals(batch, round_start, duration, scratch);
+  return ids_of(batch);
+}
+
+TEST(OrderArrivals, BreaksTimeTiesByQosThenId) {
+  const std::vector<request> batch = {
+      arrival(5, 3.0, qos_class::delay_tolerant),
+      arrival(4, 3.0, qos_class::delay_sensitive),
+      arrival(9, 1.0, qos_class::delay_tolerant),
+      arrival(2, 3.0, qos_class::delay_tolerant),
+      arrival(7, 3.0, qos_class::delay_sensitive),
+      arrival(1, 8.0, qos_class::delay_tolerant),
+  };
+  EXPECT_EQ(ordered_ids(batch, 0.0, 10.0),
+            (std::vector<std::uint64_t>{9, 4, 7, 2, 5, 1}));
+}
+
+TEST(OrderArrivals, AllAtOneTimeShareOneBucket) {
+  // 100 requests at one instant all fall in one bucket, which is then
+  // ordered by (qos, id) alone.
+  std::vector<request> batch;
+  for (std::uint64_t i = 0; i < 100; ++i) {
+    batch.push_back(arrival(100 - i, 4.0,
+                            i % 3 == 0 ? qos_class::delay_sensitive
+                                       : qos_class::delay_tolerant));
+  }
+  std::vector<request> expected = batch;
+  std::sort(expected.begin(), expected.end(), arrives_before);
+  EXPECT_EQ(ordered_ids(batch, 0.0, 10.0), ids_of(expected));
+  EXPECT_EQ(expected.front().qos, qos_class::delay_sensitive);
+  EXPECT_EQ(expected.back().qos, qos_class::delay_tolerant);
+}
+
+TEST(OrderArrivals, ReversesDescendingInput) {
+  std::vector<request> batch;
+  std::vector<std::uint64_t> expected;
+  for (std::uint64_t i = 0; i < 1000; ++i) {
+    batch.push_back(arrival(i, 50.0 - 0.05 * static_cast<double>(i)));
+    expected.push_back(999 - i);
+  }
+  EXPECT_EQ(ordered_ids(batch, 0.0, 50.0), expected);
+}
+
+TEST(OrderArrivals, EmptyAndSingleBatchesAreUntouched) {
+  EXPECT_TRUE(ordered_ids({}, 0.0, 10.0).empty());
+  EXPECT_EQ(ordered_ids({arrival(3, 2.5)}, 0.0, 10.0),
+            (std::vector<std::uint64_t>{3}));
+}
+
+TEST(OrderArrivals, ArrivalAtRoundEndTakesTheLastBucket) {
+  // (end - start) * n / duration = n: one past the last bucket, clamped.
+  const std::vector<request> batch = {
+      arrival(1, 10.0), arrival(2, 0.0), arrival(3, 9.999), arrival(4, 5.0)};
+  EXPECT_EQ(ordered_ids(batch, 0.0, 10.0),
+            (std::vector<std::uint64_t>{2, 4, 3, 1}));
+}
+
+TEST(OrderArrivals, LargeRoundStart) {
+  const double start = 1e9;
+  std::vector<request> batch;
+  rng gen(5);
+  for (std::uint64_t i = 0; i < 500; ++i) {
+    batch.push_back(arrival(i, start + gen.uniform_real(0.0, 600.0)));
+  }
+  batch.push_back(arrival(500, start));
+  batch.push_back(arrival(501, start + 600.0));
+  std::vector<request> expected = batch;
+  std::sort(expected.begin(), expected.end(), arrives_before);
+  EXPECT_EQ(ordered_ids(batch, start, 600.0), ids_of(expected));
+}
+
+TEST(OrderArrivals, RejectsNonFiniteWindow) {
+  std::vector<request> batch = {arrival(1, 1.0), arrival(2, 0.5)};
+  arrival_order_scratch scratch;
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(order_arrivals(batch, 0.0, inf, scratch), check_error);
+  EXPECT_THROW(order_arrivals(batch, inf, 1.0, scratch), check_error);
+  EXPECT_THROW(order_arrivals(batch, 0.0, -1.0, scratch), check_error);
+}
+
+TEST(OrderArrivals, MatchesStdSortOnGeneratedBatches) {
+  // Generated batches, shuffled, with a share of their times snapped to a
+  // coarse grid so that exact (time, qos) and (time, qos, id-order) ties
+  // occur; the ordering must equal std::sort with the same comparator.
+  arrival_order_scratch scratch;  // reused across batches, as in generator
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    for (const double scale : {0.0, 1.0, 4.0, 100.0}) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " scale "
+                                      << scale);
+      generator_config cfg;
+      cfg.users = 20;
+      cfg.microservices = 8;
+      cfg.seed = seed;
+      generator g(cfg);
+      g.set_rate_scale(scale);
+      rng gen(seed * 7919);
+      for (int round = 0; round < 3; ++round) {
+        const double start = 600.0 * round;
+        std::vector<request> batch = g.round(start, 600.0);
+        for (request& r : batch) {
+          if (gen.uniform_int(0, 3) == 0) {
+            r.arrival_time = start + std::floor(r.arrival_time - start);
+          }
+        }
+        gen.shuffle(batch);
+        std::vector<request> expected = batch;
+        std::sort(expected.begin(), expected.end(), arrives_before);
+        order_arrivals(batch, start, 600.0, scratch);
+        ASSERT_EQ(ids_of(batch), ids_of(expected)) << "round " << round;
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------------- trace
