@@ -1,8 +1,11 @@
 // Google-benchmark microbenchmarks for the performance-critical kernels:
 // SSAM winner selection (Theorem 2's polynomial-time claim, paper Fig. 4b),
-// the exact reference solvers, the simplex, the DES core, and the workload
-// generator.
+// the exact reference solvers, the simplex, the DES core, the workload
+// generator, and the SIMD kernels at the scalar and the best tier.
 #include <benchmark/benchmark.h>
+
+#include <cstdint>
+#include <vector>
 
 #include "auction/exact.h"
 #include "auction/instance_gen.h"
@@ -10,6 +13,7 @@
 #include "auction/msoa.h"
 #include "auction/ssam.h"
 #include "common/rng.h"
+#include "common/simd.h"
 #include "demand/estimator.h"
 #include "des/simulator.h"
 #include "edge/fair_share.h"
@@ -50,7 +54,7 @@ void BM_SsamSelectionCompiled(benchmark::State& state) {
 BENCHMARK(BM_SsamSelectionCompiled)->RangeMultiplier(2)->Range(25, 400)->Complexity();
 
 // Selection plus runner-up payments under the full mechanism: runner_up
-// calls run the compiled eager scan (the BENCH_pr2 regression fix).
+// calls run the compiled eager scan.
 void BM_SsamRunnerUpAuto(benchmark::State& state) {
   const auto inst = make_instance(static_cast<std::size_t>(state.range(0)), 5, 2);
   for (auto _ : state) {
@@ -273,6 +277,114 @@ void BM_DemandEstimatorRound(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DemandEstimatorRound);
+
+// SIMD kernel lanes: the three ecrs::simd kernels on synthetic rows far
+// above simd::kIndexedThreshold, with stride-walked distinct indices (the
+// gather pattern wide CSR coverage rows produce). Arg 0 pins the scalar
+// tier, Arg 1 the best tier this CPU supports.
+struct kernel_rows {
+  static constexpr std::size_t kVals = std::size_t{1} << 16;
+  static constexpr std::size_t kRow = 4096;
+  static constexpr std::size_t kRows = 16;
+  static constexpr std::int64_t kBound = 24;
+  std::vector<std::int64_t> vals;
+  std::vector<std::uint32_t> idx;  // kRows rows of kRow distinct indices
+  std::vector<double> price;       // ratio_argmin candidates: 4 * kRow
+  std::vector<std::int64_t> util;
+  std::vector<std::uint32_t> seller;
+  std::vector<char> active;
+
+  kernel_rows() : vals(kVals), idx(kRow * kRows), active(256, 1) {
+    ecrs::rng gen(0x51D0);
+    for (auto& v : vals) v = gen.uniform_int(0, 48);
+    for (std::size_t j = 0; j < idx.size(); ++j) {
+      // Coprime stride walk: distinct within each row.
+      idx[j] = static_cast<std::uint32_t>((j * 7919) % kVals);
+    }
+    for (std::size_t j = 0; j < 4 * kRow; ++j) {
+      price.push_back(gen.uniform_real(1.0, 40.0));
+      util.push_back(gen.uniform_int(0, 30));
+      seller.push_back(static_cast<std::uint32_t>(gen.uniform_int(0, 255)));
+    }
+  }
+
+  [[nodiscard]] const std::uint32_t* row(std::size_t call) const {
+    return idx.data() + (call % kRows) * kRow;
+  }
+};
+
+const kernel_rows& kernel_workload() {
+  static const kernel_rows rows;
+  return rows;
+}
+
+// Installs the tier a kernel lane's Arg selects for the lane's lifetime and
+// restores the dispatcher's previous tier afterwards.
+class kernel_tier {
+ public:
+  explicit kernel_tier(benchmark::State& state)
+      : saved_(ecrs::simd::active_level()) {
+    const ecrs::simd::level tier =
+        ecrs::simd::force(state.range(0) == 0 ? ecrs::simd::level::scalar
+                                              : ecrs::simd::max_supported());
+    state.SetLabel(ecrs::simd::to_string(tier));
+  }
+  ~kernel_tier() { ecrs::simd::force(saved_); }
+  kernel_tier(const kernel_tier&) = delete;
+  kernel_tier& operator=(const kernel_tier&) = delete;
+
+ private:
+  ecrs::simd::level saved_;
+};
+
+void BM_KernelSumMin(benchmark::State& state) {
+  const kernel_rows& w = kernel_workload();
+  const kernel_tier tier(state);
+  std::size_t call = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ecrs::simd::sum_min_indexed(
+        w.vals.data(), w.row(call++), kernel_rows::kRow, kernel_rows::kBound));
+  }
+  // Each element gathers an 8-byte value through a 4-byte index.
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kernel_rows::kRow * 12));
+}
+BENCHMARK(BM_KernelSumMin)->Arg(0)->Arg(1);
+
+void BM_KernelConsumeMin(benchmark::State& state) {
+  const kernel_rows& w = kernel_workload();
+  const kernel_tier tier(state);
+  // The values drain toward 0 across calls; every tier's work is
+  // data-independent, so the lane's cost does not drift with them.
+  std::vector<std::int64_t> vals = w.vals;
+  std::size_t call = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(vals.data());
+    benchmark::DoNotOptimize(ecrs::simd::consume_min_indexed(
+        vals.data(), w.row(call++), kernel_rows::kRow, kernel_rows::kBound));
+    benchmark::ClobberMemory();
+  }
+  // Each element reads and writes back an 8-byte value through a 4-byte
+  // index.
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kernel_rows::kRow * 20));
+}
+BENCHMARK(BM_KernelConsumeMin)->Arg(0)->Arg(1);
+
+void BM_KernelRatioArgmin(benchmark::State& state) {
+  const kernel_rows& w = kernel_workload();
+  const kernel_tier tier(state);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ecrs::simd::ratio_argmin(
+        w.price.data(), w.util.data(), w.seller.data(), w.active.data(),
+        w.price.size(), ecrs::simd::kNoIndex, ecrs::simd::kNoSeller));
+  }
+  // Each candidate reads an 8-byte price, an 8-byte utility, a 4-byte
+  // seller and its 1-byte liveness flag.
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(w.price.size() * 21));
+}
+BENCHMARK(BM_KernelRatioArgmin)->Arg(0)->Arg(1);
 
 }  // namespace
 

@@ -94,7 +94,7 @@ struct regional_config {
 };
 
 // One local winner-selection problem per region; seller and demander ids
-// are region-local (the marketplace's region_map assigns global ids).
+// are region-local.
 struct regional_instance {
   std::vector<single_stage_instance> regions;
 

@@ -1,5 +1,5 @@
-// Frozen pre-PR5 event engine, kept as an equivalence and benchmarking
-// reference for the slab/indexed-heap simulator (des/simulator.h).
+// Frozen pre-PR5 event engine, kept as the equivalence reference for the
+// slab/indexed-heap simulator (des/simulator.h).
 //
 // This is the original design — one std::function per event, an
 // unordered_map<event_id, record> registry, a std::priority_queue with
@@ -7,8 +7,7 @@
 // peeked entry — preserved verbatim behind a pimpl so its std::function
 // internals stay out of the header (ecrs-lint des-std-function).
 // tests/des_test.cc drives both engines through identical scripts and
-// requires identical observable behaviour; bench/des_throughput.cc times
-// it as the "old shape" baseline. Do not optimise this class.
+// requires identical observable behaviour. Do not optimise this class.
 #pragma once
 
 #include <cstdint>

@@ -92,15 +92,13 @@ struct sweep_config {
 
 // --- §III demand estimation driven event-accurately through the DES
 // (simrun::des_driver): requests hit the queues at their exact arrival
-// instants instead of as a round-start batch. Trials fan over the sweep
-// grid; one row per round with trial-averaged observables. `batched`
-// selects the simulator's batched arrival stream (the high-throughput
-// default) — per-event delivery produces a bit-identical table
-// (tests/simrun_test.cc enforces the equivalence).
+// instants instead of as a round-start batch, through the simulator's
+// batched arrival stream. Trials fan over the sweep grid; one row per round
+// with trial-averaged observables.
 [[nodiscard]] table demand_estimation_event_driven(
     const sweep_config& cfg = {}, std::size_t rounds = 12,
     std::size_t users = 300, std::size_t microservices = 25,
-    std::size_t clouds = 10, bool batched = true);
+    std::size_t clouds = 10);
 
 // --- Theorem 3 / Theorem 7 ablation: measured ratios against the proven
 // bounds W·Ξ (single-stage) and αβ/(β−1) (online).

@@ -106,7 +106,7 @@ struct event_round_obs {
 table demand_estimation_event_driven(const sweep_config& cfg,
                                      std::size_t rounds, std::size_t users,
                                      std::size_t microservices,
-                                     std::size_t clouds, bool batched) {
+                                     std::size_t clouds) {
   table out({"round", "arrivals", "served", "backlog_work", "mean_X",
              "mean_wait_s", "mean_utilization"});
 
@@ -144,8 +144,6 @@ table demand_estimation_event_driven(const sweep_config& cfg,
         edge::des_driver_config dcfg;
         dcfg.round_duration = round_duration;
         dcfg.rounds = rounds;
-        dcfg.delivery = batched ? edge::delivery_mode::batched
-                                : edge::delivery_mode::per_event;
         edge::des_driver driver(sim, cluster, gen, estimator, dcfg);
 
         std::vector<event_round_obs> per_round;

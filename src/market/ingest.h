@@ -1,12 +1,11 @@
 // Streaming regional ingestion: workload request batches straight into
 // per-region shard instances (DESIGN.md section 12, PR 9).
 //
-// The PR 8 path materialized one GLOBAL single_stage_instance per round
-// and split it with region_map::partition — at the 100-region / ~1M
-// demander scale that is a full copy of every requirement and every bid,
-// every round. The round_ingestor goes the other way: it owns the
-// per-region standing bid sets once, and each round only rewrites the
-// per-region requirement vectors from the request stream:
+// Instead of materializing one GLOBAL single_stage_instance per round and
+// splitting it by region — at the 100-region / ~1M demander scale a full
+// copy of every requirement and every bid, every round — the
+// round_ingestor owns the per-region standing bid sets once, and each round
+// only rewrites the per-region requirement vectors from the request stream:
 //
 //   1. accumulate: every request adds its service_demand to its
 //      microservice's accumulator row — region m % regions, local slot
@@ -74,8 +73,6 @@ struct ingest_config {
 // supply_cap (kNoSupplyCap = none), then scaled by demand_scale (ceil).
 // A quotient at or above 2^63 takes the cap; with no cap, or a scaled
 // result at or above 2^63, it throws check_error (as does NaN).
-// Shared by the ingestor, the batch-partition equivalence tests and the
-// bench's PR 8 reference path, so both paths quantize bit-identically.
 [[nodiscard]] auction::units quantize_demand(double accumulated,
                                              const ingest_config& config,
                                              auction::units supply_cap);

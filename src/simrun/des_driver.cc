@@ -1,5 +1,6 @@
 #include "simrun/des_driver.h"
 
+#include <cmath>
 #include <utility>
 
 #include "common/check.h"
@@ -7,15 +8,17 @@
 namespace ecrs::edge {
 
 des_driver::des_driver(des::simulator& sim, cluster& cl,
-                       workload::round_source& traffic,
-                       demand::estimator& est, des_driver_config config)
+                       workload::generator& traffic, demand::estimator& est,
+                       des_driver_config config)
     : sim_(sim),
       cluster_(cl),
       traffic_(traffic),
       estimator_(est),
       config_(config) {
-  ECRS_CHECK_MSG(config_.round_duration > 0.0,
-                 "round duration must be positive");
+  ECRS_CHECK_MSG(std::isfinite(config_.round_duration) &&
+                     config_.round_duration > 0.0,
+                 "round duration must be finite and positive, got "
+                     << config_.round_duration);
   ECRS_CHECK_MSG(config_.rounds >= 1, "need at least one round");
   ECRS_CHECK_MSG(
       traffic_.microservice_count() == cluster_.microservice_count(),
@@ -51,34 +54,28 @@ void des_driver::schedule_round(std::uint64_t round) {
   // Allocate for the round using the state visible at its start.
   cluster_.allocate_fair(config_.round_duration);
 
-  // Prefer the source's zero-copy view (replay sources hand out the stored
-  // round directly); otherwise generate into the reusable batch buffer. The
-  // buffer is safe to overwrite: the previous round's deliveries all carry
-  // timestamps strictly before its boundary, which fired before this call,
-  // so the old stream/closures have fully drained.
-  current_ = traffic_.round_view(start, config_.round_duration);
-  if (current_ == nullptr) {
-    traffic_.round_into(start, config_.round_duration, batch_);
-    current_ = &batch_;
-  }
-  const std::vector<workload::request>& batch = *current_;
+  // Generate into the reusable batch buffer. It is safe to overwrite: the
+  // previous round's deliveries all carry timestamps strictly before its
+  // boundary, which fired before this call, so the old stream/closures have
+  // fully drained.
+  traffic_.round_into(start, config_.round_duration, batch_);
 
   if (config_.delivery == delivery_mode::per_event) {
     // Reference shape: one scheduled closure per request, capturing a
     // reference into the round-lived batch (no per-request copy).
-    for (const workload::request& r : batch) {
+    for (const workload::request& r : batch_) {
       sim_.schedule_at(r.arrival_time, [this, &r] { deliver(r); });
     }
-  } else if (!batch.empty()) {
+  } else if (!batch_.empty()) {
     // Batched: register the whole time-sorted batch as one stream record;
     // a single cursor drains it in arrival order, interleaved with the
     // round boundary exactly like the per-event reference.
-    arrivals_.resize(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      arrivals_[i] = batch[i].arrival_time;
+    arrivals_.resize(batch_.size());
+    for (std::size_t i = 0; i < batch_.size(); ++i) {
+      arrivals_[i] = batch_[i].arrival_time;
     }
     sim_.schedule_stream(arrivals_,
-                         [this](std::size_t i) { deliver((*current_)[i]); });
+                         [this](std::size_t i) { deliver(batch_[i]); });
   }
 
   // Round boundary: drain up to the boundary, close the round, estimate,

@@ -30,7 +30,7 @@
 #include "demand/estimator.h"
 #include "des/simulator.h"
 #include "edge/cluster.h"
-#include "workload/round_source.h"
+#include "workload/generator.h"
 
 namespace ecrs::edge {
 
@@ -55,12 +55,10 @@ class des_driver {
                          const std::vector<round_stats>& stats,
                          const std::vector<double>& estimates)>;
 
-  // `traffic` is any per-round request supplier: the stochastic
-  // workload::generator, or a workload::replay_source feeding recorded
-  // rounds (trace replay, generation-free benchmarking).
-  des_driver(des::simulator& sim, cluster& cl,
-             workload::round_source& traffic, demand::estimator& est,
-             des_driver_config config);
+  // `config.round_duration` must be finite and positive, and `traffic`
+  // must target exactly the cluster's microservices.
+  des_driver(des::simulator& sim, cluster& cl, workload::generator& traffic,
+             demand::estimator& est, des_driver_config config);
 
   void set_round_callback(round_callback cb) { callback_ = std::move(cb); }
 
@@ -78,18 +76,15 @@ class des_driver {
 
   des::simulator& sim_;
   cluster& cluster_;
-  workload::round_source& traffic_;
+  workload::generator& traffic_;
   demand::estimator& estimator_;
   des_driver_config config_;
   round_callback callback_;
   // Round-scoped buffers, reused so steady-state rounds do not allocate:
   // the current batch (alive until its last request delivered — closures
   // and the stream cursor reference into it) and its arrival timestamps.
-  // current_ points at the round's request storage: the source's zero-copy
-  // view when it offers one, otherwise batch_.
   std::vector<workload::request> batch_;
   std::vector<des::sim_time> arrivals_;
-  const std::vector<workload::request>* current_ = nullptr;
   // Per-microservice lazy-advance clocks (all equal at round boundaries).
   std::vector<double> service_clock_;
   std::uint64_t completed_ = 0;

@@ -13,7 +13,6 @@
 #include "common/checkpoint.h"
 #include "common/rng.h"
 #include "workload/request.h"
-#include "workload/round_source.h"
 
 namespace ecrs::workload {
 
@@ -70,13 +69,13 @@ void order_arrivals(std::span<request> batch, double round_start,
 
 // Per-round batch: the requests that arrived during one auction round, in
 // the arrives_before order.
-class generator final : public round_source {
+class generator {
  public:
   explicit generator(generator_config config);
 
   [[nodiscard]] const generator_config& config() const { return config_; }
 
-  [[nodiscard]] std::uint32_t microservice_count() const override {
+  [[nodiscard]] std::uint32_t microservice_count() const {
     return config_.microservices;
   }
 
@@ -98,7 +97,7 @@ class generator final : public round_source {
   // a driver that reuses one buffer pays no allocation in steady state (the
   // ordering's index buffers are the generator's and are reused too).
   void round_into(double round_start, double duration,
-                  std::vector<request>& batch) override;
+                  std::vector<request>& batch);
 
   // Total expected arrivals per round across all users (sanity metric).
   [[nodiscard]] double expected_arrivals_per_round() const;

@@ -1,9 +1,8 @@
 // Sharded marketplace tests (DESIGN.md §12): region-aware generation, the
-// global<->local id map, the mailbox drain order, shard/spillover behavior
-// on handcrafted markets, and the byte-identity acceptance gate — a
-// marketplace horizon must be bitwise identical across thread counts
-// {1, 2, hw, 0} and, with spillover disabled, identical to composing plain
-// msoa_sessions serially.
+// mailbox drain order, shard/spillover behavior on handcrafted markets, and
+// the byte-identity acceptance gate — a marketplace horizon must be bitwise
+// identical across thread counts {1, 2, hw, 0} and, with spillover
+// disabled, identical to composing plain msoa_sessions serially.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,7 +24,6 @@
 #include "market/ingest.h"
 #include "market/mailbox.h"
 #include "market/marketplace.h"
-#include "market/region_map.h"
 #include "market/spillover.h"
 #include "workload/request.h"
 
@@ -103,64 +101,6 @@ TEST(RegionalGen, DemandScaleInflatesRequirements) {
                 base.regions[r].requirements[k]);
     }
   }
-}
-
-// ------------------------------------------------------------- region map
-
-TEST(RegionMap, GlobalLocalRoundTrip) {
-  const market::region_map map({2, 0, 3}, {1, 4, 0});
-  EXPECT_EQ(map.regions(), 3u);
-  EXPECT_EQ(map.seller_count(), 5u);
-  EXPECT_EQ(map.demander_count(), 5u);
-  EXPECT_EQ(map.sellers_in(1), 0u);
-  for (std::uint32_t r = 0; r < map.regions(); ++r) {
-    for (std::uint32_t s = 0; s < map.sellers_in(r); ++s) {
-      const std::uint32_t g = map.global_seller(r, s);
-      EXPECT_EQ(map.region_of_seller(g), r);
-      EXPECT_EQ(map.local_seller(g), s);
-    }
-    for (std::uint32_t k = 0; k < map.demanders_in(r); ++k) {
-      const std::uint32_t g = map.global_demander(r, k);
-      EXPECT_EQ(map.region_of_demander(g), r);
-      EXPECT_EQ(map.local_demander(g), k);
-    }
-  }
-}
-
-TEST(RegionMap, PartitionDropsCrossRegionCoverage) {
-  // Two sellers (regions 0, 1), three demanders (0, 1, 1). Seller 0's bid
-  // covers demanders of both regions: the foreign entries are dropped.
-  auction::single_stage_instance global;
-  global.requirements = {4, 6, 2};
-  auction::bid b0;
-  b0.seller = 0;
-  b0.coverage = {0, 1, 2};
-  b0.amount = 5;
-  b0.price = 10.0;
-  auction::bid b1;
-  b1.seller = 1;
-  b1.index = 1;
-  b1.coverage = {1, 2};
-  b1.amount = 7;
-  b1.price = 9.0;
-  global.bids = {b0, b1};
-
-  const std::vector<std::uint32_t> seller_region = {0, 1};
-  const std::vector<std::uint32_t> demander_region = {0, 1, 1};
-  const auto part =
-      market::partition(global, 2, seller_region, demander_region);
-  EXPECT_EQ(part.dropped_coverage, 2u);  // b0 loses demanders 1 and 2
-  EXPECT_EQ(part.dropped_bids, 0u);
-  ASSERT_EQ(part.shards.region_count(), 2u);
-  ASSERT_EQ(part.shards.regions[0].bids.size(), 1u);
-  EXPECT_EQ(part.shards.regions[0].bids[0].coverage,
-            (std::vector<auction::demander_id>{0}));
-  ASSERT_EQ(part.shards.regions[1].bids.size(), 1u);
-  EXPECT_EQ(part.shards.regions[1].bids[0].coverage,
-            (std::vector<auction::demander_id>{0, 1}));
-  EXPECT_EQ(part.shards.regions[1].requirements,
-            (std::vector<auction::units>{6, 2}));
-  EXPECT_EQ(part.map.global_demander(1, 0), 1u);
 }
 
 // ---------------------------------------------------------------- mailbox

@@ -2,6 +2,8 @@
 // per-class service demand extension.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/check.h"
 #include "common/rng.h"
 #include "common/statistics.h"
@@ -238,6 +240,14 @@ TEST(DesDriver, RejectsBadConfig) {
   bad = des_driver_config{};
   bad.rounds = 0;
   EXPECT_THROW(des_driver(sim, p.cl, p.traffic, p.est, bad), check_error);
+  // +inf passes a plain `> 0` check; round 1 would then start at 0 * inf.
+  for (const double duration : {std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::quiet_NaN()}) {
+    bad = des_driver_config{};
+    bad.round_duration = duration;
+    EXPECT_THROW(des_driver(sim, p.cl, p.traffic, p.est, bad), check_error)
+        << duration;
+  }
 }
 
 }  // namespace

@@ -1,10 +1,17 @@
 // Unit and property tests for SSAM (Algorithm 1): greedy selection,
-// payments, feasibility, the dual certificate, and Theorem 2/3 behaviour.
+// payments, feasibility, the dual certificate, Theorem 2/3 behaviour, and
+// the allocation-free steady-state critical-value call.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
 #include <set>
 
+#include "auction/compiled.h"
 #include "auction/exact.h"
 #include "auction/instance_gen.h"
 #include "auction/msoa.h"
@@ -14,6 +21,39 @@
 #include "common/checkpoint.h"
 #include "common/rng.h"
 #include "common/statistics.h"
+
+namespace {
+
+// Process-wide allocation counter: every operator new in this test binary
+// bumps it. Reads around a call count that call's allocations.
+std::atomic<std::uint64_t> g_allocations{0};
+
+}  // namespace
+
+// The replacements stay out of line: inlined into a caller, they would show
+// the optimizer malloc() on one side and free() on the other of a pair it
+// otherwise knows as operator new / operator delete, and gcc would report
+// the pair as mismatched (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void* operator new(std::size_t size,
+                                     const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p,
+                                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace ecrs::auction {
 namespace {
@@ -438,6 +478,48 @@ TEST(CompiledEquivalence, MatchesGoldenDigest) {
 
   EXPECT_EQ(fnv1a64(w.payload()), kGoldenDigest)
       << std::hex << "digest 0x" << fnv1a64(w.payload());
+}
+
+// ------------------------------------------- allocation-free steady state
+
+// The steady-state critical-value call: a pre-compiled view, a warm
+// ssam_scratch, the into overload and serial payments run without a heap
+// allocation, and the into result is bitwise the value overload's. The
+// self-audit is off on both calls, as on the release-build hot path.
+TEST(SsamSteadyState, WarmCompiledIntoCallAllocatesNothing) {
+  rng gen(1);
+  instance_config cfg;
+  cfg.sellers = 110;
+  cfg.demanders = 5;
+  cfg.bids_per_seller = 2;
+  const auto inst = random_instance(cfg, gen);
+  compiled_instance compiled;
+  compiled.compile(inst);
+
+  ssam_options opts;
+  opts.rule = payment_rule::critical_value;
+  opts.payment_threads = 1;
+  opts.self_audit = false;
+  ssam_scratch scratch;
+  ssam_result into;
+  run_ssam(compiled, opts, &scratch, into);  // warm-up: buffers grow once
+
+  constexpr int kCalls = 20;
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int call = 0; call < kCalls; ++call) {
+    run_ssam(compiled, opts, &scratch, into);
+  }
+  const std::uint64_t allocations =
+      g_allocations.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(allocations, 0u) << "over " << kCalls << " warm calls";
+
+  ASSERT_TRUE(into.feasible);
+  ASSERT_FALSE(into.winners.empty());
+  checkpoint_writer from_into;
+  digest_result(from_into, into);
+  checkpoint_writer from_value;
+  digest_result(from_value, run_ssam(inst, opts));
+  EXPECT_TRUE(std::ranges::equal(from_into.payload(), from_value.payload()));
 }
 
 // --------------------------------------------------------------- runtime
