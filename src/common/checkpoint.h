@@ -12,9 +12,9 @@
 //
 // Components expose `save(checkpoint_writer&)` / `load(checkpoint_reader&)`
 // pairs; the daemon concatenates them in a fixed order. Checkpoints are
-// only valid at round boundaries, where every transient (DES heap, mailbox,
-// ingest accumulators, spillover pools) is provably empty — the contract
-// that keeps the format small and the restore bit-identical.
+// only valid at round boundaries, where every transient (ingest
+// accumulators, spillover pools) is provably empty — the contract that
+// keeps the format small and the restore bit-identical.
 #pragma once
 
 #include <cstdint>

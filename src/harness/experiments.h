@@ -90,11 +90,11 @@ struct sweep_config {
                                                std::size_t microservices = 25,
                                                std::size_t clouds = 10);
 
-// --- §III demand estimation driven event-accurately through the DES
+// --- §III demand estimation driven event-accurately
 // (simrun::des_driver): requests hit the queues at their exact arrival
-// instants instead of as a round-start batch, through the simulator's
-// batched arrival stream. Trials fan over the sweep grid; one row per round
-// with trial-averaged observables.
+// instants, in arrival order, instead of as a round-start batch. Trials
+// fan over the sweep grid; one row per round with trial-averaged
+// observables.
 [[nodiscard]] table demand_estimation_event_driven(
     const sweep_config& cfg = {}, std::size_t rounds = 12,
     std::size_t users = 300, std::size_t microservices = 25,

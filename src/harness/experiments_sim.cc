@@ -4,7 +4,6 @@
 
 #include "common/statistics.h"
 #include "demand/estimator.h"
-#include "des/simulator.h"
 #include "edge/cluster.h"
 #include "harness/experiments.h"
 #include "harness/sweep.h"
@@ -140,11 +139,10 @@ table demand_estimation_event_driven(const sweep_config& cfg,
 
         demand::estimator estimator(demand::make_default_config());
 
-        des::simulator sim;
         edge::des_driver_config dcfg;
         dcfg.round_duration = round_duration;
         dcfg.rounds = rounds;
-        edge::des_driver driver(sim, cluster, gen, estimator, dcfg);
+        edge::des_driver driver(cluster, gen, estimator, dcfg);
 
         std::vector<event_round_obs> per_round;
         per_round.reserve(rounds);

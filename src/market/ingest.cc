@@ -55,10 +55,16 @@ round_ingestor::round_ingestor(ingest_config config,
     : config_(config), round_(std::move(standing)) {
   ECRS_CHECK_MSG(config_.regions >= 1, "need at least one region");
   ECRS_CHECK_MSG(config_.microservices >= 1, "need at least one microservice");
-  ECRS_CHECK_MSG(config_.unit_demand > 0.0, "unit_demand must be > 0");
+  ECRS_CHECK_MSG(std::isfinite(config_.unit_demand) &&
+                     config_.unit_demand > 0.0,
+                 "unit_demand must be finite and > 0, got "
+                     << config_.unit_demand);
   ECRS_CHECK_MSG(config_.supply_margin >= 0.0 && config_.supply_margin <= 1.0,
                  "supply margin out of [0,1]");
-  ECRS_CHECK_MSG(config_.demand_scale >= 1.0, "demand scale must be >= 1");
+  ECRS_CHECK_MSG(std::isfinite(config_.demand_scale) &&
+                     config_.demand_scale >= 1.0,
+                 "demand_scale must be finite and >= 1, got "
+                     << config_.demand_scale);
   ECRS_CHECK_MSG(round_.regions.size() == config_.regions,
                  "standing bids carry " << round_.regions.size()
                                         << " regions, config says "

@@ -22,9 +22,7 @@ marketplace::marketplace(
     const edge::topology& topo,
     std::vector<std::vector<auction::seller_profile>> sellers_per_region,
     marketplace_options options)
-    : topo_(&topo),
-      options_(options),
-      po_(static_cast<std::uint32_t>(sellers_per_region.size())) {
+    : topo_(&topo), options_(options) {
   ECRS_CHECK_MSG(!sellers_per_region.empty(), "need at least one region");
   ECRS_CHECK_MSG(topo.clouds() >= sellers_per_region.size(),
                  "topology must cover every region");
@@ -54,7 +52,6 @@ void marketplace::run_round(const auction::regional_instance& round,
                  "round carries " << round.regions.size()
                                   << " regional instances for " << n
                                   << " shards");
-  ECRS_CHECK_MSG(po_.pending() == 0, "mailbox not drained");
 
   out.round = ++round_;
   out.shards.resize(n);
@@ -63,52 +60,43 @@ void marketplace::run_round(const auction::regional_instance& round,
   out.unmet_units = 0;
 
   // 1. Fan out the local rounds. Each shard writes only its own result
-  // slot and its own mailbox slot, so the stage is lock-free and the
-  // outcome is independent of scheduling.
+  // slot, so the stage is lock-free and the outcome is independent of
+  // scheduling.
   const auto shard_start = std::chrono::steady_clock::now();
   if (options_.threads == 1 || n == 1) {
     for (std::size_t r = 0; r < n; ++r) {
-      shards_[r].run_round(round.regions[r], po_, out.shards[r]);
+      shards_[r].run_round(round.regions[r], out.shards[r]);
     }
   } else {
     thread_pool::shared().parallel_for(
         n,
         [&](std::size_t r) {
-          shards_[r].run_round(round.regions[r], po_, out.shards[r]);
+          shards_[r].run_round(round.regions[r], out.shards[r]);
         },
         options_.threads);
   }
   timing_.shard_ms = ms_since(shard_start);
 
-  // 2. Coordinator drain: spill requests arrive ordered by origin region.
-  requests_.clear();
-  po_.drain([&](message& m) {
-    ECRS_CHECK_MSG(m.to == po_.coordinator() &&
-                       m.type == message::kind::spill_request,
-                   "only spill requests may be in flight after the fan-out");
-    requests_.push_back(std::move(m));
-  });
-
-  // 3. Spillover re-auctions, serial; grants go back into the mailbox.
+  // 2. Spillover re-auctions the uncovered demand, serial, ascending
+  // region id.
   const auto spill_start = std::chrono::steady_clock::now();
   spill_stage_.run(*topo_,
                    std::span<const auction::single_stage_instance>(
                        round.regions),
                    std::span<const shard>(shards_),
                    std::span<const shard_round>(out.shards),
-                   std::span<const message>(requests_), options_.spillover,
-                   po_, out.spillover);
+                   options_.spillover, out.spillover);
   timing_.spill_ms = ms_since(spill_start);
   timing_.spill_assembly_ms = spill_stage_.assembly_ms();
 
-  // 4. Helper shards charge the sales against their sellers.
-  po_.drain([&](message& m) {
-    ECRS_CHECK_MSG(m.type == message::kind::spill_grant,
-                   "only grants may be in flight after spillover");
-    shards_[m.to].apply_grant(m);
-  });
+  // 3. Helper shards charge the sales against their sellers, in award
+  // order: each award's weight is its coverage size, its price the ask.
+  for (const spill_award& a : out.spillover.awards) {
+    shards_[a.helper_region].session().consume_external(
+        a.seller, static_cast<auction::units>(a.covered.size()), a.ask);
+  }
 
-  // 5. Serial reduction, ascending region id.
+  // 4. Serial reduction, ascending region id.
   for (std::size_t r = 0; r < n; ++r) {
     out.social_cost += out.shards[r].outcome.social_cost;
     for (const double p : out.shards[r].outcome.payments) {
@@ -128,16 +116,12 @@ void marketplace::set_seller_active(std::uint32_t region,
 }
 
 void marketplace::save(ecrs::checkpoint_writer& w) const {
-  ECRS_CHECK_MSG(po_.pending() == 0,
-                 "marketplace checkpoint only valid at a round boundary");
   w.u32(round_);
   w.size(shards_.size());
   for (const shard& sh : shards_) sh.save(w);
 }
 
 void marketplace::load(ecrs::checkpoint_reader& r) {
-  ECRS_CHECK_MSG(po_.pending() == 0,
-                 "marketplace restore only valid at a round boundary");
   round_ = r.u32();
   const std::size_t n = r.size();
   ECRS_CHECK_MSG(n == shards_.size(),

@@ -5,14 +5,14 @@
 // to neighboring regions. Per round:
 //
 //   1. fan out: every shard runs its region's local auction round on its
-//      own warm-start msoa_session (disjoint state — results land in
-//      disjoint slots, spill requests in disjoint mailbox slots);
-//   2. drain #1: coordinator collects spill_requests ordered by
-//      (to, from, post sequence) — ascending origin region;
-//   3. spillover: uncovered demand is re-auctioned against neighbors'
-//      spare capacity (market/spillover.h), grants posted as mail;
-//   4. drain #2: helper shards apply their grants (capacity + ψ charge);
-//   5. reduce: totals accumulated serially in ascending region order.
+//      own warm-start msoa_session (disjoint state — results, uncovered
+//      demand included, land in disjoint slots);
+//   2. spillover: the uncovered demand of every region, ascending region
+//      id, is re-auctioned against neighbors' spare capacity
+//      (market/spillover.h);
+//   3. charge: each award is charged to its helper shard's session
+//      (capacity + ψ), in award order;
+//   4. reduce: totals accumulated serially in ascending region order.
 //
 // Determinism: the parallel stage writes disjoint slots, every cross-shard
 // ordering is a pure function of region ids (never completion order), and
@@ -26,7 +26,6 @@
 
 #include "auction/instance_gen.h"
 #include "edge/topology.h"
-#include "market/mailbox.h"
 #include "market/shard.h"
 #include "market/spillover.h"
 
@@ -85,9 +84,10 @@ class marketplace {
 
   // Allocation-reusing flavour: clears and refills `out`'s vectors keeping
   // their capacity. Bit-identical to the value overload. With warm shard
-  // sessions (payment_threads == 1) the steady-state round stays off the
-  // allocator end to end: spill requests are spans into the round records
-  // and every pooled buffer, spillover's included, reuses its capacity.
+  // sessions (payment_threads == 1) and threads == 1 the steady-state
+  // round stays off the allocator: every pooled buffer, spillover's
+  // included, reuses its capacity. With threads != 1 the shard fan-out's
+  // thread_pool::parallel_for allocates on every call.
   void run_round(const auction::regional_instance& round,
                  marketplace_round& out);
 
@@ -102,9 +102,8 @@ class marketplace {
                          bool active);
 
   // Checkpoint the marketplace at a round boundary: round counter plus
-  // every shard session's cross-round state. The mailbox must be drained
-  // (it always is between run_round calls) and the spillover stage holds
-  // only per-round scratch, so neither is serialized.
+  // every shard session's cross-round state. The spillover stage holds
+  // only per-round scratch, so it is not serialized.
   void save(ecrs::checkpoint_writer& w) const;
   void load(ecrs::checkpoint_reader& r);
 
@@ -112,10 +111,7 @@ class marketplace {
   const edge::topology* topo_;
   marketplace_options options_;
   std::vector<shard> shards_;
-  post_office po_;
   std::uint32_t round_ = 0;
-  // Coordinator scratch: requests drained from the mailbox each round.
-  std::vector<message> requests_;
   // Persistent spillover stage: per-region indexes, pooled re-auction
   // storage, SSAM scratch — reused across rounds.
   spillover_stage spill_stage_;

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "common/check.h"
-
 namespace ecrs::market {
 namespace {
 
@@ -40,20 +38,10 @@ shard::shard(std::uint32_t region,
       session_(std::move(sellers), options_.session) {}
 
 void shard::run_round(const auction::single_stage_instance& local,
-                      post_office& po, shard_round& out) {
-  ECRS_CHECK_MSG(region_ < po.regions(),
-                 "shard region " << region_ << " unknown to the post office");
+                      shard_round& out) {
   session_.run_round(local, out.outcome);
   out.deficit = collect_shard_deficit(local, out.outcome, replay_,
                                       out.uncovered);
-  if (out.deficit > 0) {
-    message m;
-    m.type = message::kind::spill_request;
-    m.from = region_;
-    m.to = po.coordinator();
-    m.deficits = out.uncovered;
-    po.post(std::move(m));
-  }
 }
 
 void shard::spare_offers(const auction::single_stage_instance& local,
@@ -81,15 +69,6 @@ void shard::spare_offers(const auction::single_stage_instance& local,
     if (session_.capacity_left(b.seller) < weight) continue;
     out.push_back({idx, b.seller});
   }
-}
-
-void shard::apply_grant(const message& grant) {
-  ECRS_CHECK_MSG(grant.type == message::kind::spill_grant,
-                 "shard can only apply spill grants");
-  ECRS_CHECK_MSG(grant.to == region_, "grant addressed to region "
-                                          << grant.to << ", applied to "
-                                          << region_);
-  session_.consume_external(grant.seller, grant.weight, grant.price);
 }
 
 }  // namespace ecrs::market

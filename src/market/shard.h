@@ -2,15 +2,15 @@
 // region-local bookkeeping the marketplace round loop needs.
 //
 // A shard is strictly region-local: it runs its region's rounds on its own
-// session (ψ/χ state, compiled-instance warm-start cache, scratch), posts a
-// spill_request when a round leaves demand uncovered, and applies
-// spill_grants when the coordinator sells its sellers' spare capacity into
-// neighboring regions. It never reads another shard's state — all
-// cross-region traffic is mail (market/mailbox.h).
+// session (ψ/χ state, compiled-instance warm-start cache, scratch) and
+// records the demand a round leaves uncovered in its round record. It never
+// reads another shard's state: the marketplace hands the uncovered demand
+// to the spillover stage and charges spillover sales to the helper shard's
+// session (msoa_session::consume_external).
 //
 // Thread contract: the marketplace runs at most one shard::run_round per
 // shard at a time (shards fan out across regions, not within one), and all
-// grant application happens serially between rounds. Every member is
+// spillover charging happens serially between rounds. Every member is
 // therefore single-thread-confined per round, like msoa_session itself.
 #pragma once
 
@@ -20,9 +20,14 @@
 #include "auction/bid.h"
 #include "auction/msoa.h"
 #include "common/annotations.h"
-#include "market/mailbox.h"
 
 namespace ecrs::market {
+
+// One demander's unmet demand after a local round.
+struct spill_deficit {
+  auction::demander_id demander = 0;  // region-local id
+  auction::units missing = 0;         // > 0
+};
 
 struct shard_options {
   // Per-round mechanism configuration for the shard's session. The
@@ -59,9 +64,8 @@ class shard {
   }
 
   // Run the region's next local auction round (true prices). Fills `out`
-  // (vector capacity reused) and posts one spill_request to the
-  // coordinator slot of `po` when demand is left uncovered.
-  void run_round(const auction::single_stage_instance& local, post_office& po,
+  // (vector capacity reused), uncovered demand included.
+  void run_round(const auction::single_stage_instance& local,
                  shard_round& out);
 
   // Spare offers of the round just run: bids of `local` whose seller won
@@ -74,10 +78,6 @@ class shard {
                              const shard_round& result,
                              std::vector<char>& won_scratch,
                              std::vector<spare_offer>& out) const;
-
-  // Apply a spill_grant addressed to this shard: charge the sale against
-  // the seller's session capacity (and ψ).
-  void apply_grant(const message& grant);
 
   // Seller churn passthrough: an inactive seller is skipped both by the
   // session's admission and by spare_offers (no spillover sales either).

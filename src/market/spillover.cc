@@ -52,23 +52,13 @@ void spillover_stage::run(
     const edge::topology& topo,
     std::span<const auction::single_stage_instance> locals,
     std::span<const shard> shards, std::span<const shard_round> rounds,
-    std::span<const message> requests, const spillover_options& options,
-    post_office& po, spillover_outcome& out) {
+    const spillover_options& options, spillover_outcome& out) {
   const std::size_t n = shards.size();
   ECRS_CHECK_MSG(locals.size() == n && rounds.size() == n,
                  "one shard, local instance and round outcome per region");
   ECRS_CHECK_MSG(topo.clouds() >= n, "topology must cover every region");
   ECRS_CHECK_MSG(options.cost_per_ms >= 0.0 && options.max_latency >= 0.0,
                  "spillover surcharge and latency budget must be >= 0");
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const message& req = requests[i];
-    ECRS_CHECK_MSG(req.type == message::kind::spill_request,
-                   "spillover expects only spill_request mail");
-    ECRS_CHECK_MSG(req.from < n, "spill request from unknown region");
-    ECRS_CHECK_MSG(i == 0 || requests[i - 1].from < req.from,
-                   "spill requests must arrive in ascending region order");
-    ECRS_CHECK_MSG(!req.deficits.empty(), "empty spill request");
-  }
 
   out.awards.clear();
   out.regions.clear();
@@ -77,7 +67,10 @@ void spillover_stage::run(
   out.social_cost = 0.0;
   out.total_payment = 0.0;
   assembly_ms_ = 0.0;
-  if (requests.empty()) return;
+  if (std::none_of(rounds.begin(), rounds.end(),
+                   [](const shard_round& r) { return r.deficit > 0; })) {
+    return;
+  }
 
   // 1. Every region's spare offers, per-seller best index and claim flags
   // (every region is a potential helper).
@@ -91,14 +84,16 @@ void spillover_stage::run(
   }
   assembly_ms_ = ms_since(assembly_start);
 
-  // 2. One re-auction per request, ascending requesting region.
+  // 2. One re-auction per uncovered region, ascending region id.
   covered_offsets_.clear();
-  for (const message& req : requests) {
-    const std::size_t deficits = req.deficits.size();
+  for (std::uint32_t from = 0; from < n; ++from) {
+    if (rounds[from].deficit <= 0) continue;
+    const std::span<const spill_deficit> uncovered = rounds[from].uncovered;
+    const std::size_t deficits = uncovered.size();
     region_spill tally;
-    tally.region = req.from;
+    tally.region = from;
     spill_.requirements.clear();
-    for (const spill_deficit& d : req.deficits) {
+    for (const spill_deficit& d : uncovered) {
       tally.requested += d.missing;
       spill_.requirements.push_back(d.missing);
     }
@@ -118,13 +113,13 @@ void spillover_stage::run(
     candidates_.clear();
     std::size_t helper_regions = 0;
     for (const edge::neighbor& nb :
-         topo.neighbors_by_latency(req.from, options.max_latency)) {
+         topo.neighbors_by_latency(from, options.max_latency)) {
       if (helper_regions == options.max_regions) break;
       if (nb.region >= n) continue;  // topology may be wider
       const helper_slot& h = helpers_[nb.region];
       const auction::single_stage_instance& local = locals[nb.region];
       const double transfer =
-          topo.transfer_cost(req.from, nb.region, options.cost_per_ms);
+          topo.transfer_cost(from, nb.region, options.cost_per_ms);
       const std::size_t before = candidates_.size();
       for (const auction::seller_id s : h.best.sellers()) {
         if (h.claimed[s] != 0) continue;
@@ -161,7 +156,7 @@ void spillover_stage::run(
       helpers_[c.helper_region].claimed[c.seller] = 1;
 
       spill_award award;
-      award.demand_region = req.from;
+      award.demand_region = from;
       award.helper_region = c.helper_region;
       award.seller = c.seller;
       award.bid_index = c.bid_index;
@@ -172,7 +167,7 @@ void spillover_stage::run(
       covered_offsets_.emplace_back(out.covered_pool.size(),
                                     sb.coverage.size());
       for (const auction::demander_id k : sb.coverage) {
-        out.covered_pool.push_back(req.deficits[k].demander);
+        out.covered_pool.push_back(uncovered[k].demander);
       }
       award.amount = sb.amount;
       award.latency = c.latency;
@@ -181,16 +176,6 @@ void spillover_stage::run(
       out.social_cost += award.ask;
       out.total_payment += award.payment;
       out.awards.push_back(award);
-
-      message grant;
-      grant.type = message::kind::spill_grant;
-      grant.from = po.coordinator();
-      grant.to = c.helper_region;
-      grant.seller = c.seller;
-      grant.weight = static_cast<auction::units>(sb.coverage.size());
-      grant.price = sb.price;
-      grant.buyer = req.from;
-      po.post(grant);
     }
 
     tally.granted = tally.requested - remaining_.deficit();

@@ -8,26 +8,25 @@
 // regions, and priced at the original asking price plus the
 // topology::transfer_cost surcharge for hauling the units across the
 // backhaul. One SSAM re-auction per uncovered region then picks the
-// cheapest feasible helper set; its winners become spill_grant mail for
-// the helper shards (which charge the sale against seller capacity via
-// msoa_session::consume_external).
+// cheapest feasible helper set; its winners become spill_awards, which the
+// marketplace charges against the helper sellers' capacity via
+// msoa_session::consume_external.
 //
 // Determinism contract: uncovered regions are processed in ascending
-// region id (the post office's drain order for coordinator mail),
-// candidates are enumerated in ascending (latency, helper region id,
-// seller id) order, and a seller sells into at most one foreign region
-// per marketplace round.
+// region id, candidates are enumerated in ascending (latency, helper
+// region id, seller id) order, and a seller sells into at most one foreign
+// region per marketplace round.
 //
 // The stage is one serial pass on the calling thread:
 //
 //   1. per region: collect the round's spare offers, build its
 //      seller_best_index (cheapest spare bid per seller) and clear its
 //      claim flags;
-//   2. per spill request, ascending region: walk the neighbor list,
-//      append every unclaimed seller's surcharged best bid to the pooled
-//      re-auction (a helper region counts toward max_regions only if it
-//      contributed a candidate), run SSAM, claim the winners' sellers and
-//      post their grants.
+//   2. per region with uncovered demand, ascending: walk the neighbor
+//      list, append every unclaimed seller's surcharged best bid to the
+//      pooled re-auction (a helper region counts toward max_regions only
+//      if it contributed a candidate), run SSAM, claim the winners' sellers
+//      and record their awards.
 //
 // The steady-state round allocates nothing here: the per-region indexes,
 // the candidate vector and the re-auction instance/bids/result/scratch
@@ -45,7 +44,6 @@
 #include "auction/ssam.h"
 #include "common/annotations.h"
 #include "edge/topology.h"
-#include "market/mailbox.h"
 #include "market/shard.h"
 
 namespace ecrs::market {
@@ -90,7 +88,7 @@ struct region_spill {
 
 struct spillover_outcome {
   std::vector<spill_award> awards;      // ascending demand region id
-  std::vector<region_spill> regions;    // one per spill request, ascending
+  std::vector<region_spill> regions;    // one per uncovered region, ascending
   // Backing store for every award's `covered` span, in award order.
   std::vector<auction::demander_id> covered_pool;
   auction::units unmet_units = 0;       // requested - granted, summed
@@ -137,14 +135,13 @@ class seller_best_index {
 class spillover_stage {
  public:
   // `locals`/`shards`/`rounds` are the regions' round instances, shard
-  // state and local outcomes; `requests` the coordinator's drained
-  // spill_request mail in ascending origin-region order. Posts one
-  // spill_grant per award to `po`; refills `out` (capacity reused).
+  // state and local outcomes; every region whose round left a deficit is
+  // re-auctioned from its `uncovered` list. Refills `out` (capacity
+  // reused); charging the awards to the helper shards is the caller's.
   void run(const edge::topology& topo,
            std::span<const auction::single_stage_instance> locals,
            std::span<const shard> shards, std::span<const shard_round> rounds,
-           std::span<const message> requests, const spillover_options& options,
-           post_office& po, spillover_outcome& out);
+           const spillover_options& options, spillover_outcome& out);
 
   // Wall time the last run() spent preparing the helper regions (step 1),
   // milliseconds. Perf telemetry only — never part of the outcome.

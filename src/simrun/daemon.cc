@@ -88,9 +88,15 @@ daemon::daemon(daemon_setup setup)
                      config_.round_duration > 0.0,
                  "round duration must be finite and positive, got "
                      << config_.round_duration);
-  ECRS_CHECK_MSG(config_.base_allocation >= 0.0 &&
+  // A plain `>= 0` admits +inf: inf * 0 units is a NaN allocation.
+  ECRS_CHECK_MSG(std::isfinite(config_.base_allocation) &&
+                     config_.base_allocation >= 0.0,
+                 "base_allocation must be finite and non-negative, got "
+                     << config_.base_allocation);
+  ECRS_CHECK_MSG(std::isfinite(config_.resources_per_unit) &&
                      config_.resources_per_unit >= 0.0,
-                 "allocation coupling must be non-negative");
+                 "resources_per_unit must be finite and non-negative, got "
+                     << config_.resources_per_unit);
   ECRS_CHECK_MSG(setup.estimator.round_duration == config_.round_duration,
                  "estimator and daemon disagree on the round duration");
   ECRS_CHECK_MSG(
@@ -103,7 +109,9 @@ daemon::daemon(daemon_setup setup)
   const scenario_config& sc = config_.scenario;
   ECRS_CHECK_MSG(sc.diurnal_amplitude >= 0.0 && sc.diurnal_amplitude < 1.0,
                  "diurnal amplitude must be in [0,1)");
-  ECRS_CHECK_MSG(sc.flash_factor >= 0.0, "flash factor must be non-negative");
+  ECRS_CHECK_MSG(std::isfinite(sc.flash_factor) && sc.flash_factor >= 0.0,
+                 "flash_factor must be finite and non-negative, got "
+                     << sc.flash_factor);
   ECRS_CHECK_MSG(sc.flash_every == 0 || sc.flash_duration >= 1,
                  "flash crowds need a positive duration");
 

@@ -201,7 +201,9 @@ void generator::round_into(double round_start, double duration,
 }
 
 void generator::set_rate_scale(double scale) {
-  ECRS_CHECK_MSG(scale >= 0.0, "rate scale must be non-negative");
+  // An infinite scale would reach the size_t cast of the expected count.
+  ECRS_CHECK_MSG(std::isfinite(scale) && scale >= 0.0,
+                 "rate scale must be finite and non-negative, got " << scale);
   rate_scale_ = scale;
 }
 

@@ -107,7 +107,8 @@ class generator {
 
   // Scale the per-class Poisson arrival means for subsequent rounds
   // (service demands are untouched). Scenario programs drive this per
-  // round: diurnal cycles, flash crowds. 1.0 = configured rates.
+  // round: diurnal cycles, flash crowds. 1.0 = configured rates; must be
+  // finite and >= 0.
   void set_rate_scale(double scale);
   [[nodiscard]] double rate_scale() const { return rate_scale_; }
 

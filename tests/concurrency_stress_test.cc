@@ -19,7 +19,6 @@
 #include "common/thread_pool.h"
 #include "edge/topology.h"
 #include "harness/experiments.h"
-#include "market/mailbox.h"
 #include "market/marketplace.h"
 
 namespace ecrs {
@@ -351,53 +350,12 @@ TEST(SsamConcurrencyStress, BudgetedParallelPaymentsStayAudited) {
   EXPECT_NO_THROW(audit_or_throw(instance, result, audit));
 }
 
-// ------------------------------------------------- marketplace + mailbox
-
-// Shard/mailbox churn: many regions post into their own pre-sized mailbox
-// slots from pool workers while the driver drains between phases. The
-// mailbox's safety claim is exactly this pattern (disjoint slot writes
-// under the fan-out, serial drain after the join), so this is the case
-// TSan must see; the assertions double as the determinism check — the
-// drain order is a pure function of what was posted where.
-TEST(MarketStress, MailboxChurnUnderShardFanOut) {
-  constexpr std::uint32_t kRegions = 12;
-  constexpr std::size_t kMessagesPerRegion = 64;
-  for (const std::size_t pool_size : stress_pool_sizes()) {
-    thread_pool pool(pool_size);
-    market::post_office po(kRegions);
-    for (int round = 0; round < 4; ++round) {
-      pool.parallel_for(kRegions, [&po](std::size_t r) {
-        for (std::size_t i = 0; i < kMessagesPerRegion; ++i) {
-          market::message m;
-          m.type = market::message::kind::spill_request;
-          m.from = static_cast<std::uint32_t>(r);  // own slot only
-          m.to = po.coordinator();
-          m.seller = static_cast<std::uint32_t>(i);
-          po.post(std::move(m));
-        }
-      });
-      std::uint32_t expect_from = 0;
-      std::uint32_t expect_seq = 0;
-      std::size_t delivered = 0;
-      po.drain([&](const market::message& m) {
-        EXPECT_EQ(m.from, expect_from);
-        EXPECT_EQ(m.seller, expect_seq);
-        ++delivered;
-        if (++expect_seq == kMessagesPerRegion) {
-          expect_seq = 0;
-          ++expect_from;
-        }
-      });
-      EXPECT_EQ(delivered, kRegions * kMessagesPerRegion);
-      EXPECT_EQ(po.pending(), 0u);
-    }
-  }
-}
+// ------------------------------------------------------------ marketplace
 
 // Whole marketplace horizons raced across pool sizes: every run must
 // produce the same winner/payment stream the serial shard composition
-// does. Gives TSan the real shard fan-out (sessions, mailbox, spillover)
-// instead of a synthetic loop.
+// does. Gives TSan the real shard fan-out (sessions, round records,
+// spillover) instead of a synthetic loop.
 TEST(MarketStress, MarketplaceHorizonDeterministicAcrossPools) {
   auction::online_config stage;
   stage.stage.sellers = 5;

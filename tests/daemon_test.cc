@@ -510,6 +510,27 @@ TEST(Daemon, RejectsInconsistentSetups) {
     s.estimator.round_duration = bad;
     EXPECT_THROW(daemon{std::move(s)}, check_error);
   }
+  // +inf passes a plain `>= 0`; each field must be rejected by name at
+  // construction. No round is ever run at an infinite rate scale.
+  const auto expect_rejected = [](daemon_setup s, const std::string& field) {
+    try {
+      daemon d(std::move(s));
+      ADD_FAILURE() << field << " = inf was accepted";
+    } catch (const check_error& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  daemon_setup s = make_setup(9);
+  s.config.resources_per_unit = inf;
+  expect_rejected(std::move(s), "resources_per_unit");
+  s = make_setup(9);
+  s.config.base_allocation = inf;
+  expect_rejected(std::move(s), "base_allocation");
+  s = make_setup(9);
+  s.config.scenario.flash_factor = inf;
+  expect_rejected(std::move(s), "flash_factor");
 }
 
 }  // namespace

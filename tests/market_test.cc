@@ -1,5 +1,5 @@
-// Sharded marketplace tests (DESIGN.md §12): region-aware generation, the
-// mailbox drain order, shard/spillover behavior on handcrafted markets, and
+// Sharded marketplace tests (DESIGN.md §12): region-aware generation,
+// shard/spillover behavior on handcrafted markets, and
 // the byte-identity acceptance gate — a marketplace horizon must be bitwise
 // identical across thread counts {1, 2, hw, 0} and, with spillover
 // disabled, identical to composing plain msoa_sessions serially.
@@ -22,7 +22,6 @@
 #include "edge/topology.h"
 #include "harness/experiments.h"
 #include "market/ingest.h"
-#include "market/mailbox.h"
 #include "market/marketplace.h"
 #include "market/spillover.h"
 #include "workload/request.h"
@@ -33,8 +32,6 @@ namespace {
 using market::marketplace;
 using market::marketplace_options;
 using market::marketplace_round;
-using market::message;
-using market::post_office;
 
 // ------------------------------------------------- region-aware generation
 
@@ -103,41 +100,12 @@ TEST(RegionalGen, DemandScaleInflatesRequirements) {
   }
 }
 
-// ---------------------------------------------------------------- mailbox
-
-TEST(Mailbox, DrainsOrderedByToFromSequence) {
-  post_office po(3);
-  const auto make = [](std::uint32_t from, std::uint32_t to,
-                       std::uint32_t tag) {
-    message m;
-    m.type = message::kind::spill_grant;
-    m.from = from;
-    m.to = to;
-    m.seller = tag;  // tag rides along to observe the order
-    return m;
-  };
-  // Posted "out of order" on purpose.
-  po.post(make(2, 0, 1));
-  po.post(make(0, 3, 2));
-  po.post(make(2, 0, 3));
-  po.post(make(1, 0, 4));
-  po.post(make(0, 0, 5));
-  EXPECT_EQ(po.pending(), 5u);
-
-  std::vector<std::uint32_t> order;
-  po.drain([&](const message& m) { order.push_back(m.seller); });
-  // to=0: from 0 (tag 5), from 1 (tag 4), from 2 in post order (1, 3);
-  // then to=3 (coordinator): tag 2.
-  EXPECT_EQ(order, (std::vector<std::uint32_t>{5, 4, 1, 3, 2}));
-  EXPECT_EQ(po.pending(), 0u);
-}
-
 // ------------------------------------------------------ shard + spillover
 
 // Two regions on a unit ring: region 1 has demand and no sellers, region 0
-// has an idle seller. The marketplace must route the deficit through a
-// spill request, re-auction it against region 0's spare bid at the
-// latency-surcharged price, and charge the helper's capacity.
+// has an idle seller. The marketplace must hand the deficit to spillover,
+// re-auction it against region 0's spare bid at the latency-surcharged
+// price, and charge the helper's capacity.
 TEST(Spillover, CoversForeignDeficitAtSurchargedPrice) {
   edge::topology topo = edge::topology::ring(2);
 
@@ -585,6 +553,19 @@ TEST(Ingest, RejectsNonFiniteDemandAndCapsHugeDemandBeforeCasting) {
   EXPECT_EQ(market::quantize_demand(9007199254740991.0, icfg,
                                     market::kNoSupplyCap),
             9007199254740991);
+}
+
+// +inf passes `> 0` and `>= 1`: an infinite unit_demand quantizes every
+// demand to 0 units, an infinite demand_scale overflows the units range at
+// the first finalize. Both must fail at construction.
+TEST(Ingest, RejectsNonFiniteConfig) {
+  const double inf = std::numeric_limits<double>::infinity();
+  market::ingest_config icfg = small_ingest_config();
+  icfg.unit_demand = inf;
+  EXPECT_THROW(market::round_ingestor(icfg, small_standing()), check_error);
+  icfg = small_ingest_config();
+  icfg.demand_scale = inf;
+  EXPECT_THROW(market::round_ingestor(icfg, small_standing()), check_error);
 }
 
 TEST(Ingest, PlacementAndSupplyCaps) {

@@ -486,6 +486,12 @@ TEST(Generator, RateScaleScalesArrivals) {
   EXPECT_TRUE(silenced.round(0.0, 100.0).empty());
 
   EXPECT_THROW(base.set_rate_scale(-0.5), ecrs::check_error);
+  // Rejected before any round: an infinite expected count would reach an
+  // undefined size_t cast.
+  EXPECT_THROW(base.set_rate_scale(std::numeric_limits<double>::infinity()),
+               ecrs::check_error);
+  EXPECT_THROW(base.set_rate_scale(std::numeric_limits<double>::quiet_NaN()),
+               ecrs::check_error);
 }
 
 TEST(Generator, CheckpointRestoresStreamBitForBit) {
