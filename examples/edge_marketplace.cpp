@@ -64,10 +64,6 @@ int main(int argc, char** argv) {
   wcfg.seed = cfg.seed;
   workload::generator traffic(wcfg);
 
-  std::vector<workload::qos_class> qos;
-  for (std::uint32_t s = 0; s < cfg.microservices; ++s) {
-    qos.push_back(traffic.class_of(s));
-  }
   edge::cluster_config ccfg;
   ccfg.clouds = cfg.clouds;
   // Slightly above the mean load so imbalance, not raw shortage, drives the
@@ -77,7 +73,7 @@ int main(int argc, char** argv) {
   ccfg.capacity_per_cloud =
       1.4 * expected_work / cfg.round_duration / cfg.clouds;
   ccfg.seed = cfg.seed ^ 0xeadbeefULL;
-  edge::cluster cluster(ccfg, qos);
+  edge::cluster cluster(ccfg, traffic.classes());
   // Backhaul ring between the edge clouds (§II); remote help pays a
   // per-unit transfer surcharge proportional to the path latency.
   const edge::topology backhaul = edge::topology::ring(cfg.clouds, 2.0);

@@ -46,10 +46,10 @@ estimator::estimator(estimator_config config) : config_(config) {
                  "round duration must be positive");
 }
 
-indicator_values estimator::indicators(const edge::round_stats& s,
-                                       double a_max) const {
+ECRS_HOT estimator::pending_entry estimator::split(
+    const edge::round_stats& s) const {
   ECRS_CHECK_MSG(s.round >= 1, "rounds are 1-based");
-  indicator_values v;
+  pending_entry p;
 
   // γ_i^t = ζ·θ_i/π_i. With no arrivals the completion ratio is taken as 1
   // (nothing is waiting).
@@ -57,7 +57,7 @@ indicator_values estimator::indicators(const edge::round_stats& s,
       s.received > 0
           ? static_cast<double>(s.served) / static_cast<double>(s.received)
           : 1.0;
-  v.waiting = config_.zeta * completion;
+  p.waiting = config_.zeta * completion;
 
   // ℝ_i^t = (ς_i − ϖ_i)/t: the processing-rate gap between what the
   // microservice needs (clear arrivals + backlog within the round) and what
@@ -65,26 +65,41 @@ indicator_values estimator::indicators(const edge::round_stats& s,
   // clamp to zero.
   const double needed = s.required_rate(config_.round_duration);
   const double achieved = s.achieved_rate(config_.round_duration);
-  v.processing =
+  p.processing =
       std::max(0.0, needed - achieved) / static_cast<double>(s.round);
 
-  // 𝕋_i^t = Δ·(a_i/a_max)·(L_i·t/V(n̄))·1/(1−L_i), with L clamped below 1
-  // and V(n̄) = co-located microservice count (density of neighbours).
+  // The a_max-free factors of 𝕋_i^t, with L clamped below 1 and V(n̄) =
+  // co-located microservice count (density of neighbours).
   const double util = std::clamp(s.utilization, 0.0, config_.max_utilization);
-  const double alloc_ratio = a_max > 0.0 ? s.allocation / a_max : 0.0;
   const double density = static_cast<double>(std::max(1u, s.cloud_population));
-  v.request_rate = config_.delta * alloc_ratio *
-                   (util * static_cast<double>(s.round) / density) /
-                   (1.0 - util);
-  return v;
+  p.q = util * static_cast<double>(s.round) / density;
+  p.one_minus_util = 1.0 - util;
+  p.allocation = s.allocation;
+  return p;
 }
 
-double estimator::raw_demand(const edge::round_stats& s, double a_max) const {
-  const indicator_values v = indicators(s, a_max);
+ECRS_HOT indicator_values estimator::finish(const pending_entry& p,
+                                            double a_max) const {
+  // 𝕋_i^t = Δ·(a_i/a_max)·(L_i·t/V(n̄))·1/(1−L_i).
+  const double alloc_ratio = a_max > 0.0 ? p.allocation / a_max : 0.0;
+  return {p.waiting, p.processing,
+          config_.delta * alloc_ratio * p.q / p.one_minus_util};
+}
+
+ECRS_HOT double estimator::weigh(const indicator_values& v) const {
   const double x = v.waiting / config_.w_waiting +
                    v.processing / config_.w_processing +
                    v.request_rate / config_.w_request_rate;
   return std::max(0.0, x);
+}
+
+indicator_values estimator::indicators(const edge::round_stats& s,
+                                       double a_max) const {
+  return finish(split(s), a_max);
+}
+
+double estimator::raw_demand(const edge::round_stats& s, double a_max) const {
+  return weigh(indicators(s, a_max));
 }
 
 std::uint32_t estimator::find_slot(std::uint32_t id) const {
@@ -166,26 +181,10 @@ double estimator::estimate(const edge::round_stats& s, double a_max) {
 }
 
 ECRS_HOT void estimator::observe(const edge::round_stats& s) {
-  ECRS_CHECK_MSG(s.round >= 1, "rounds are 1-based");
-  pending_entry p;
+  // The a_max factor of Eq. (2) is deferred to estimates_into, where the
+  // round's maximum allocation is known.
+  pending_entry p = split(s);
   p.slot = find_or_create_slot(s.microservice);
-  // Identical component arithmetic to indicators(); only the a_max factor
-  // of Eq. (2) is deferred to estimates_into (where the round's maximum
-  // allocation is known), preserving the exact FP operation order.
-  const double completion =
-      s.received > 0
-          ? static_cast<double>(s.served) / static_cast<double>(s.received)
-          : 1.0;
-  p.waiting = config_.zeta * completion;
-  const double needed = s.required_rate(config_.round_duration);
-  const double achieved = s.achieved_rate(config_.round_duration);
-  p.processing =
-      std::max(0.0, needed - achieved) / static_cast<double>(s.round);
-  const double util = std::clamp(s.utilization, 0.0, config_.max_utilization);
-  const double density = static_cast<double>(std::max(1u, s.cloud_population));
-  p.q = util * static_cast<double>(s.round) / density;
-  p.one_minus_util = 1.0 - util;
-  p.allocation = s.allocation;
   pending_.push_back(p);
   if (s.allocation > round_a_max_) round_a_max_ = s.allocation;
 }
@@ -199,13 +198,7 @@ ECRS_HOT void estimator::estimates_into(std::span<double> out) {
   ++rounds_;
   for (std::size_t i = 0; i < pending_.size(); ++i) {
     const pending_entry& p = pending_[i];
-    const double alloc_ratio = a_max > 0.0 ? p.allocation / a_max : 0.0;
-    const double request_rate =
-        config_.delta * alloc_ratio * p.q / p.one_minus_util;
-    const double x = p.waiting / config_.w_waiting +
-                     p.processing / config_.w_processing +
-                     request_rate / config_.w_request_rate;
-    out[i] = advance_holt(p.slot, std::max(0.0, x));
+    out[i] = advance_holt(p.slot, weigh(finish(p, a_max)));
     slot_seen_[p.slot] = rounds_;
   }
   pending_.clear();

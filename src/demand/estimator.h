@@ -145,6 +145,13 @@ class estimator {
 
   static constexpr std::uint32_t kEmptySlot = 0xffffffffu;
 
+  // Eq. (1)-(2), written once: split() computes the a_max-free components
+  // (slot left 0), finish() applies a_max and returns the indicators,
+  // weigh() returns their AHP-weighted sum floored at 0.
+  ECRS_HOT pending_entry split(const edge::round_stats& s) const;
+  ECRS_HOT indicator_values finish(const pending_entry& p, double a_max) const;
+  ECRS_HOT double weigh(const indicator_values& v) const;
+
   // Locate (or append) the flat-history slot of `id`.
   ECRS_HOT std::uint32_t find_or_create_slot(std::uint32_t id);
   [[nodiscard]] std::uint32_t find_slot(std::uint32_t id) const;

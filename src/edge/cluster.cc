@@ -1,6 +1,7 @@
 #include "edge/cluster.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/check.h"
 #include "edge/fair_share.h"
@@ -105,6 +106,34 @@ void cluster::adjust_allocation(std::uint32_t microservice_id, double amount) {
 
 void cluster::advance(double now, double duration) {
   for (microservice& svc : services_) svc.advance(now, duration);
+}
+
+ECRS_HOT void cluster::deliver_round(std::span<const workload::request> batch,
+                                     double start, double end) {
+  ECRS_CHECK_MSG(std::isfinite(start) && std::isfinite(end) && start < end,
+                 "delivery window [" << start << ", " << end
+                                     << "] must be finite and non-empty");
+  clock_.assign(services_.size(), start);
+  double previous = start;
+  for (const workload::request& r : batch) {
+    ECRS_CHECK_MSG(r.arrival_time >= previous,
+                   "arrivals out of order at request " << r.id);
+    ECRS_CHECK_MSG(r.arrival_time <= end,
+                   "request " << r.id << " arrives past the round end");
+    ECRS_CHECK_MSG(r.microservice < services_.size(),
+                   "request targets unknown microservice " << r.microservice);
+    previous = r.arrival_time;
+    microservice& svc = services_[r.microservice];
+    double& mark = clock_[r.microservice];
+    if (r.arrival_time > mark) {
+      svc.advance(mark, r.arrival_time - mark);
+      mark = r.arrival_time;
+    }
+    svc.enqueue(r);
+  }
+  for (std::size_t m = 0; m < services_.size(); ++m) {
+    if (end > clock_[m]) services_[m].advance(clock_[m], end - clock_[m]);
+  }
 }
 
 std::vector<round_stats> cluster::end_round(std::uint64_t round,

@@ -6,8 +6,10 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "common/annotations.h"
 #include "common/rng.h"
 #include "edge/microservice.h"
 #include "workload/request.h"
@@ -59,6 +61,15 @@ class cluster {
   // Serve all queues for `duration` seconds starting at `now`.
   void advance(double now, double duration);
 
+  // Event-accurate delivery of one round: each request of the time-sorted
+  // `batch` is enqueued at its arrival time, after advancing only its
+  // target queue from that queue's clock (allocations are constant within
+  // a round, so how the drain is sliced does not matter); then every queue
+  // is synced to `end`. Needs finite start < end, arrivals in
+  // non-decreasing order within [start, end] and known microservice ids.
+  ECRS_HOT void deliver_round(std::span<const workload::request> batch,
+                              double start, double end);
+
   // Close the round: per-microservice statistics, with cloud populations.
   [[nodiscard]] std::vector<round_stats> end_round(std::uint64_t round,
                                                    double round_duration);
@@ -75,6 +86,9 @@ class cluster {
   std::vector<edge_cloud> clouds_;
   std::vector<microservice> services_;
   std::vector<std::uint32_t> placement_;  // microservice id -> cloud id
+  // deliver_round's per-service clocks: reset every round and reused, so
+  // steady-state rounds do not allocate. Not checkpoint state.
+  std::vector<double> clock_;
 };
 
 }  // namespace ecrs::edge

@@ -91,8 +91,8 @@ struct sweep_config {
                                                std::size_t clouds = 10);
 
 // --- §III demand estimation driven event-accurately
-// (simrun::des_driver): requests hit the queues at their exact arrival
-// instants, in arrival order, instead of as a round-start batch. Trials
+// (edge::cluster::deliver_round): requests hit the queues at their exact
+// arrival instants, in arrival order, instead of as a round-start batch. Trials
 // fan over the sweep grid; one row per round with trial-averaged
 // observables.
 [[nodiscard]] table demand_estimation_event_driven(

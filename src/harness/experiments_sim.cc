@@ -7,10 +7,33 @@
 #include "edge/cluster.h"
 #include "harness/experiments.h"
 #include "harness/sweep.h"
-#include "simrun/des_driver.h"
 #include "workload/generator.h"
 
 namespace ecrs::harness {
+namespace {
+
+// A cluster for `gen`'s microservices with 130% of the rate its expected
+// work needs on average: with random placement some clouds still end up
+// overloaded while others idle, which is exactly the contrast the demand
+// estimator must surface.
+edge::cluster near_saturation_cluster(const workload::generator& gen,
+                                      std::size_t clouds,
+                                      double round_duration,
+                                      std::uint64_t seed) {
+  const workload::generator_config& w = gen.config();
+  // Expected resource-seconds of work per round.
+  const double expected_work = static_cast<double>(w.users) *
+                               (w.sensitive_mean + w.tolerant_mean) *
+                               w.mean_service_demand;
+  edge::cluster_config ccfg;
+  ccfg.clouds = static_cast<std::uint32_t>(clouds);
+  ccfg.capacity_per_cloud = 1.3 * expected_work / round_duration /
+                            static_cast<double>(clouds);
+  ccfg.seed = seed;
+  return edge::cluster(ccfg, gen.classes());
+}
+
+}  // namespace
 
 table demand_estimation_pipeline(std::uint64_t seed, std::size_t rounds,
                                  std::size_t users, std::size_t microservices,
@@ -25,27 +48,9 @@ table demand_estimation_pipeline(std::uint64_t seed, std::size_t rounds,
   wcfg.seed = seed;
   workload::generator gen(wcfg);
 
-  std::vector<workload::qos_class> qos;
-  qos.reserve(microservices);
-  for (std::uint32_t s = 0; s < microservices; ++s) {
-    qos.push_back(gen.class_of(s));
-  }
-
-  // Capacity chosen so the cluster runs near saturation: expected work per
-  // round is users*(sensitive+tolerant means)*mean_demand resource-seconds.
   const double round_duration = 600.0;  // paper: 10-minute rounds
-  const double expected_work =
-      static_cast<double>(users) *
-      (wcfg.sensitive_mean + wcfg.tolerant_mean) * wcfg.mean_service_demand;
-  edge::cluster_config ccfg;
-  ccfg.clouds = static_cast<std::uint32_t>(clouds);
-  // 130% of the rate needed on average: with random placement some clouds
-  // still end up overloaded while others idle, which is exactly the
-  // contrast the demand estimator must surface.
-  ccfg.capacity_per_cloud = 1.3 * expected_work / round_duration /
-                            static_cast<double>(clouds);
-  ccfg.seed = seed ^ 0x9e37u;
-  edge::cluster cluster(ccfg, qos);
+  edge::cluster cluster =
+      near_saturation_cluster(gen, clouds, round_duration, seed ^ 0x9e37u);
 
   demand::estimator estimator(demand::make_default_config());
 
@@ -120,53 +125,40 @@ table demand_estimation_event_driven(const sweep_config& cfg,
         wcfg.seed = ctx.gen();
         workload::generator gen(wcfg);
 
-        std::vector<workload::qos_class> qos;
-        qos.reserve(microservices);
-        for (std::uint32_t s = 0; s < microservices; ++s) {
-          qos.push_back(gen.class_of(s));
-        }
-
-        // Same near-saturation sizing as demand_estimation_pipeline.
-        const double expected_work = static_cast<double>(users) *
-                                     (wcfg.sensitive_mean + wcfg.tolerant_mean) *
-                                     wcfg.mean_service_demand;
-        edge::cluster_config ccfg;
-        ccfg.clouds = static_cast<std::uint32_t>(clouds);
-        ccfg.capacity_per_cloud = 1.3 * expected_work / round_duration /
-                                  static_cast<double>(clouds);
-        ccfg.seed = ctx.gen();
-        edge::cluster cluster(ccfg, qos);
+        edge::cluster cluster =
+            near_saturation_cluster(gen, clouds, round_duration, ctx.gen());
 
         demand::estimator estimator(demand::make_default_config());
 
-        edge::des_driver_config dcfg;
-        dcfg.round_duration = round_duration;
-        dcfg.rounds = rounds;
-        edge::des_driver driver(cluster, gen, estimator, dcfg);
-
+        std::vector<workload::request> batch;
         std::vector<event_round_obs> per_round;
         per_round.reserve(rounds);
-        driver.set_round_callback(
-            [&](std::uint64_t, const std::vector<edge::round_stats>& stats,
-                const std::vector<double>& estimates) {
-              event_round_obs obs;
-              running_stats est;
-              running_stats wait;
-              running_stats util;
-              for (std::size_t s = 0; s < stats.size(); ++s) {
-                obs.arrivals += stats[s].received;
-                obs.served += stats[s].served;
-                obs.backlog += stats[s].backlog_work;
-                est.add(estimates[s]);
-                wait.add(stats[s].mean_wait);
-                util.add(stats[s].utilization);
-              }
-              obs.mean_estimate = est.empty() ? 0.0 : est.mean();
-              obs.mean_wait = wait.empty() ? 0.0 : wait.mean();
-              obs.mean_utilization = util.empty() ? 0.0 : util.mean();
-              per_round.push_back(obs);
-            });
-        driver.run();
+        for (std::uint64_t r = 1; r <= rounds; ++r) {
+          const double start = static_cast<double>(r - 1) * round_duration;
+          // Allocate for the round using the state visible at its start.
+          cluster.allocate_fair(round_duration);
+          gen.round_into(start, round_duration, batch);
+          cluster.deliver_round(batch, start,
+                                static_cast<double>(r) * round_duration);
+          const auto stats = cluster.end_round(r, round_duration);
+          const auto estimates = estimator.estimate_round(stats);
+          event_round_obs obs;
+          running_stats est;
+          running_stats wait;
+          running_stats util;
+          for (std::size_t s = 0; s < stats.size(); ++s) {
+            obs.arrivals += stats[s].received;
+            obs.served += stats[s].served;
+            obs.backlog += stats[s].backlog_work;
+            est.add(estimates[s]);
+            wait.add(stats[s].mean_wait);
+            util.add(stats[s].utilization);
+          }
+          obs.mean_estimate = est.empty() ? 0.0 : est.mean();
+          obs.mean_wait = wait.empty() ? 0.0 : wait.mean();
+          obs.mean_utilization = util.empty() ? 0.0 : util.mean();
+          per_round.push_back(obs);
+        }
         return per_round;
       },
       [&](std::size_t, std::span<const std::vector<event_round_obs>> trials) {

@@ -9,15 +9,6 @@
 namespace ecrs::simrun {
 namespace {
 
-// QoS classes per microservice id, as the generator assigned them.
-std::vector<workload::qos_class> qos_of(const workload::generator& gen) {
-  std::vector<workload::qos_class> qos;
-  const std::uint32_t n = gen.microservice_count();
-  qos.reserve(n);
-  for (std::uint32_t m = 0; m < n; ++m) qos.push_back(gen.class_of(m));
-  return qos;
-}
-
 // FNV-1a over every behaviour-determining scalar of the setup. Two setups
 // with equal hashes run the same horizon; the hash gates checkpoint
 // restores (common/checkpoint.h header).
@@ -79,7 +70,7 @@ std::uint64_t hash_setup(const daemon_setup& s) {
 daemon::daemon(daemon_setup setup)
     : config_(setup.config),
       gen_(setup.workload),
-      cluster_(setup.cluster, qos_of(gen_)),
+      cluster_(setup.cluster, gen_.classes()),
       estimator_(setup.estimator),
       topo_(std::move(setup.topology)),
       market_(topo_, setup.sellers, setup.market),
@@ -114,6 +105,14 @@ daemon::daemon(daemon_setup setup)
                      << sc.flash_factor);
   ECRS_CHECK_MSG(sc.flash_every == 0 || sc.flash_duration >= 1,
                  "flash crowds need a positive duration");
+  // Fail at construction, not in the first peak round's set_rate_scale.
+  const double peak =
+      (1.0 + sc.diurnal_amplitude) * std::max(1.0, sc.flash_factor);
+  ECRS_CHECK_MSG(gen_.expected_arrivals_per_round() * peak <
+                     workload::generator::kMaxExpectedArrivals,
+                 "flash_factor " << sc.flash_factor << " makes the peak rate "
+                                 "scale " << peak << ", beyond what a round "
+                                 "can generate");
 
   config_hash_ = hash_setup(setup);
   seller_counts_.reserve(setup.sellers.size());
@@ -131,21 +130,6 @@ daemon::daemon(daemon_setup setup)
   }
   estimates_.resize(services, 0.0);
   granted_.resize(services, 0);
-  service_clock_.assign(services, 0.0);
-}
-
-void daemon::catch_up(std::uint32_t m, double now) {
-  double& mark = service_clock_[m];
-  if (now > mark) {
-    cluster_.service(m).advance(mark, now - mark);
-    mark = now;
-  }
-}
-
-void daemon::deliver(const workload::request& r) {
-  catch_up(r.microservice, r.arrival_time);
-  cluster_.service(r.microservice).enqueue(r);
-  ++delivered_;
 }
 
 churn_event daemon::churn_target(std::uint64_t ordinal) const {
@@ -218,23 +202,13 @@ void daemon::run_one_round() {
   apply_churn(r);
 
   gen_.round_into(start, dur, batch_);
-  // The batch is the round's only event source, so delivering it in
-  // arrival order is the whole event loop.
-  double previous = start;
-  for (const workload::request& req : batch_) {
-    ECRS_CHECK_MSG(req.arrival_time >= previous,
-                   "arrivals out of order at request " << req.id);
-    ECRS_CHECK_MSG(req.arrival_time <= end,
-                   "request " << req.id << " arrives past the round end");
-    previous = req.arrival_time;
-    deliver(req);
-  }
+  cluster_.deliver_round(batch_, start, end);
+  delivered_ += batch_.size();
 
   const auto services =
       static_cast<std::uint32_t>(cluster_.microservice_count());
   if (probe_) probe_(true);
   for (std::uint32_t m = 0; m < services; ++m) {
-    catch_up(m, end);
     estimator_.observe(
         cluster_.service(m).end_round(r, dur, population_[m]));
   }
@@ -257,10 +231,10 @@ void daemon::run_rounds(std::uint64_t count) {
 void daemon::save(ecrs::checkpoint_writer& w) const {
   w.u64(completed_);
   w.u64(delivered_);
-  // The boundary clock mark (all per-service clocks are equal between
-  // rounds). Serialized, never recomputed, so the restored FP state is the
-  // straight-through run's bit for bit.
-  w.f64(service_clock_.empty() ? 0.0 : service_clock_[0]);
+  // The boundary clock: the end of the last completed round, computed as
+  // run_one_round computes it. Redundant with the round count, so load
+  // rejects a word that disagrees with it.
+  w.f64(static_cast<double>(completed_) * config_.round_duration);
   gen_.save(w);
   cluster_.save(w);
   estimator_.save(w);
@@ -273,7 +247,11 @@ void daemon::load(ecrs::checkpoint_reader& r) {
   completed_ = r.u64();
   delivered_ = r.u64();
   const double mark = r.f64();
-  service_clock_.assign(service_clock_.size(), mark);
+  ECRS_CHECK_MSG(
+      mark == static_cast<double>(completed_) * config_.round_duration,
+      "checkpoint boundary clock " << mark << " does not match "
+                                   << completed_ << " rounds of "
+                                   << config_.round_duration << " s");
   gen_.load(r);
   cluster_.load(r);
   estimator_.load(r);

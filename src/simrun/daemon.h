@@ -6,10 +6,9 @@
 //   1. scenario: set the round's arrival-rate multiplier (diurnal cycle,
 //      flash crowds — simrun/scenario.h) and apply seller churn events;
 //   2. simulate: generate the round's request batch, already in arrival
-//      order, and deliver it in a plain loop — every request is delivered
-//      at its exact arrival timestamp, queues advance lazily per
-//      microservice. The batch is the round's only event source, so no
-//      event queue is needed;
+//      order, and hand it to edge::cluster::deliver_round — every request
+//      is delivered at its exact arrival timestamp, queues advance lazily
+//      per microservice and are synced to the round's end;
 //   3. observe: close each microservice's round directly into the demand
 //      estimator's streaming path (demand::estimator::observe — no
 //      round_stats vector is materialized) and finalize the round's
@@ -45,7 +44,6 @@
 #include <string>
 #include <vector>
 
-#include "common/annotations.h"
 #include "common/checkpoint.h"
 #include "demand/estimator.h"
 #include "edge/cluster.h"
@@ -143,10 +141,6 @@ class daemon {
   void run_one_round();
   void apply_churn(std::uint64_t round);
   [[nodiscard]] churn_event churn_target(std::uint64_t ordinal) const;
-  // Deliver a request at its arrival timestamp.
-  ECRS_HOT void deliver(const workload::request& r);
-  // Advance service `m` to simulated time `now` from its own clock.
-  ECRS_HOT void catch_up(std::uint32_t m, double now);
   // Close the loop: turn the round's coverage into next-round allocations.
   void apply_allocations(const auction::regional_instance& inst,
                          const market::marketplace_round& out);
@@ -168,8 +162,6 @@ class daemon {
   std::vector<double> estimates_;
   std::vector<auction::units> granted_;
   market::marketplace_round market_out_;
-  // Per-microservice lazy-advance clocks (all equal at round boundaries).
-  std::vector<double> service_clock_;
   std::uint64_t completed_ = 0;
   std::uint64_t delivered_ = 0;
 };

@@ -135,14 +135,9 @@ double generator::mean_demand_of(qos_class cls) const {
 }
 
 double generator::expected_arrivals_per_round() const {
-  std::size_t sensitive = 0;
-  for (qos_class c : class_by_service_) {
-    if (c == qos_class::delay_sensitive) ++sensitive;
-  }
-  const auto tolerant = class_by_service_.size() - sensitive;
   const double users = static_cast<double>(config_.users);
-  return users * (sensitive > 0 ? config_.sensitive_mean : 0.0) +
-         users * (tolerant > 0 ? config_.tolerant_mean : 0.0);
+  return users * (sensitive_ids_.empty() ? 0.0 : config_.sensitive_mean) +
+         users * (tolerant_ids_.empty() ? 0.0 : config_.tolerant_mean);
 }
 
 std::vector<request> generator::round(double round_start, double duration) {
@@ -201,9 +196,13 @@ void generator::round_into(double round_start, double duration,
 }
 
 void generator::set_rate_scale(double scale) {
-  // An infinite scale would reach the size_t cast of the expected count.
-  ECRS_CHECK_MSG(std::isfinite(scale) && scale >= 0.0,
-                 "rate scale must be finite and non-negative, got " << scale);
+  // round_into casts the expected count to size_t, and order_arrivals
+  // indexes the batch with 32-bit slots: bound the scale before either.
+  ECRS_CHECK_MSG(std::isfinite(scale) && scale >= 0.0 &&
+                     expected_arrivals_per_round() * scale <
+                         kMaxExpectedArrivals,
+                 "rate scale must be finite, non-negative and expect fewer "
+                 "than 2^32 - 1 arrivals per round, got " << scale);
   rate_scale_ = scale;
 }
 
@@ -219,7 +218,7 @@ void generator::load(ecrs::checkpoint_reader& r) {
   for (std::uint64_t& word : st) word = r.u64();
   gen_.set_state(st);
   next_request_id_ = r.u64();
-  rate_scale_ = r.f64();
+  set_rate_scale(r.f64());
 }
 
 }  // namespace ecrs::workload

@@ -81,6 +81,10 @@ class generator {
 
   // QoS class assigned to each microservice (index = microservice id).
   [[nodiscard]] qos_class class_of(std::uint32_t microservice) const;
+  // All of them, indexed by microservice id (what edge::cluster places).
+  [[nodiscard]] const std::vector<qos_class>& classes() const {
+    return class_by_service_;
+  }
 
   // Edge cloud region hosting a microservice (round-robin over
   // config.regions; deterministic, no rng involved).
@@ -108,9 +112,13 @@ class generator {
   // Scale the per-class Poisson arrival means for subsequent rounds
   // (service demands are untouched). Scenario programs drive this per
   // round: diurnal cycles, flash crowds. 1.0 = configured rates; must be
-  // finite and >= 0.
+  // finite and >= 0, and the expected arrivals per round at this scale
+  // must stay below kMaxExpectedArrivals.
   void set_rate_scale(double scale);
   [[nodiscard]] double rate_scale() const { return rate_scale_; }
+  // The largest expected round a scale may ask for: order_arrivals indexes
+  // a batch with 32-bit slots.
+  static constexpr double kMaxExpectedArrivals = 4294967295.0;  // 2^32 - 1
 
   // Checkpoint the generator's dynamic state (rng state, next request id,
   // current rate scale). Class assignment and target lists are

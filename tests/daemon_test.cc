@@ -369,6 +369,15 @@ TEST(Daemon, CheckpointFileRejectsCorruption) {
     bytes.push_back(0);
     expect_rejected(bytes);
   }
+  {  // a boundary clock (payload bytes 16-23, the end of round 2) that
+     // disagrees with the round count, under a valid checksum
+    std::vector<std::uint8_t> payload = save_bytes(d);
+    payload[16] ^= 0x01;
+    const std::string bad_path = testing::TempDir() + "daemon_ckpt_clock.bin";
+    ecrs::save_checkpoint_file(bad_path, d.config_hash(), payload);
+    daemon fresh(make_setup(4));
+    EXPECT_THROW(fresh.load_file(bad_path), check_error);
+  }
   {  // checkpoint from a differently-configured daemon (config-hash gate)
     daemon other(make_setup(5));
     other.run_rounds(2);
@@ -511,11 +520,11 @@ TEST(Daemon, RejectsInconsistentSetups) {
     EXPECT_THROW(daemon{std::move(s)}, check_error);
   }
   // +inf passes a plain `>= 0`; each field must be rejected by name at
-  // construction. No round is ever run at an infinite rate scale.
+  // construction. No round is ever run at an infinite or huge rate scale.
   const auto expect_rejected = [](daemon_setup s, const std::string& field) {
     try {
       daemon d(std::move(s));
-      ADD_FAILURE() << field << " = inf was accepted";
+      ADD_FAILURE() << field << " was accepted";
     } catch (const check_error& e) {
       EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
           << e.what();
@@ -530,6 +539,12 @@ TEST(Daemon, RejectsInconsistentSetups) {
   expect_rejected(std::move(s), "base_allocation");
   s = make_setup(9);
   s.config.scenario.flash_factor = inf;
+  expect_rejected(std::move(s), "flash_factor");
+  // Finite, but a peak round would expect more arrivals than a batch can
+  // index (and overflow the reservation's size_t cast).
+  s = make_setup(9);
+  s.config.scenario.flash_every = 4;
+  s.config.scenario.flash_factor = 1e300;
   expect_rejected(std::move(s), "flash_factor");
 }
 

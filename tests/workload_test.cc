@@ -492,6 +492,30 @@ TEST(Generator, RateScaleScalesArrivals) {
                ecrs::check_error);
   EXPECT_THROW(base.set_rate_scale(std::numeric_limits<double>::quiet_NaN()),
                ecrs::check_error);
+  // Finite, but the expected round reaches the 32-bit batch index limit
+  // (the size_t cast overflows at 1e300). A rejected scale is not kept.
+  const double max_scale =
+      generator::kMaxExpectedArrivals / base.expected_arrivals_per_round();
+  EXPECT_THROW(base.set_rate_scale(1e300), ecrs::check_error);
+  EXPECT_THROW(base.set_rate_scale(2.0 * max_scale), ecrs::check_error);
+  EXPECT_DOUBLE_EQ(base.rate_scale(), 1.0);
+  EXPECT_NO_THROW(base.set_rate_scale(0.5 * max_scale));
+}
+
+TEST(Generator, LoadRejectsAnOutOfRangeRateScale) {
+  ecrs::checkpoint_writer w;
+  generator(scaled_config(23)).save(w);
+  for (const double bad : {1e300, -1.0,
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    ecrs::checkpoint_writer word;
+    word.f64(bad);
+    // The rate scale is the payload's last f64.
+    std::vector<std::uint8_t> bytes(w.payload().begin(), w.payload().end());
+    std::copy(word.payload().begin(), word.payload().end(), bytes.end() - 8);
+    ecrs::checkpoint_reader r(bytes);
+    generator restored(scaled_config(23));
+    EXPECT_THROW(restored.load(r), ecrs::check_error) << bad;
+  }
 }
 
 TEST(Generator, CheckpointRestoresStreamBitForBit) {
