@@ -1,52 +1,12 @@
 // Sharded multi-region marketplace horizon (DESIGN.md section 12): one
 // row per round with social cost, payments, spillover traffic, and unmet
-// demand. The base table is byte-identical for every --threads setting
+// demand. The table is byte-identical for every --threads setting
 // (tests/market_test.cc enforces it).
 //
 // Flags beyond the common set: --regions, --rounds, --sellers and
-// --demanders (per region), --scale (demand scale in percent, 125 = 1.25),
-// --streaming (1 = workload-stream ingestion via market::round_ingestor),
-// --users (stream width), --unit_demand (percent: resource-seconds per
-// requirement unit, 400 = 4.0), and --perf (1 = append the machine-
-// dependent allocs_per_round / spill_assembly_ms columns).
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
+// --demanders (per region), and --scale (demand scale in percent,
+// 125 = 1.25).
 #include "bench_util.h"
-
-namespace {
-
-// Process-wide allocation counter: every operator new in the binary bumps
-// it. The harness samples it around each round for the --perf column.
-std::atomic<std::uint64_t> g_allocations{0};
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-
-namespace {
-
-std::uint64_t allocations_now() {
-  return g_allocations.load(std::memory_order_relaxed);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const ecrs::flags f(argc, argv);
@@ -61,12 +21,6 @@ int main(int argc, char** argv) {
       static_cast<double>(f.get_int("scale", 125)) / 100.0;
   cfg.seed = static_cast<std::uint64_t>(f.get_int("seed", 1));
   cfg.threads = static_cast<std::size_t>(f.get_int("threads", 0));
-  cfg.streaming = f.get_int("streaming", 0) != 0;
-  cfg.users = static_cast<std::uint32_t>(f.get_int("users", 300));
-  cfg.unit_demand =
-      static_cast<double>(f.get_int("unit_demand", 400)) / 100.0;
-  cfg.perf_columns = f.get_int("perf", 0) != 0;
-  cfg.alloc_count = allocations_now;
   ecrs::bench::emit(f, "Sharded marketplace rounds with spillover",
                     ecrs::harness::marketplace_rounds(cfg));
   return 0;

@@ -111,7 +111,7 @@ struct ssam_scratch::impl {
   compiled_state creplay;            // feasibility re-check
 };
 
-// ecrs-lint: allow(auction-hot-alloc) — one-time workspace construction.
+// One-time workspace construction: the only allocation of a scratch.
 ssam_scratch::ssam_scratch() : impl_(std::make_unique<impl>()) {}
 ssam_scratch::~ssam_scratch() = default;
 ssam_scratch::ssam_scratch(ssam_scratch&&) noexcept = default;

@@ -47,7 +47,7 @@ ECRS_HOT std::int64_t consume_min_scalar(std::int64_t* vals,
 }
 
 // Fold rows [lo, hi) into `best` with the shared lexicographic update —
-// also the tail/fallback path of the vector tiers, so every tier runs the
+// also the tail/fallback path of the AVX2 tier, so every tier runs the
 // identical per-element arithmetic.
 ECRS_HOT void ratio_scan_scalar(const double* price,
                                 const std::int64_t* util,
@@ -82,140 +82,6 @@ ECRS_HOT ratio_best ratio_argmin_scalar(const double* price,
 }
 
 #if defined(ECRS_SIMD_X86)
-
-// -------------------------------------------------------------------- SSE2
-// x86-64 baseline. No 64-bit compare/min instructions exist at this tier:
-// min(a, b) = b + ((a - b) & sign(a - b)), with the 64-bit arithmetic
-// shift emulated by replicating each lane's high dword and shifting that —
-// exact for the non-negative operands these kernels see (units are >= 0,
-// so a - b cannot wrap).
-
-inline __m128i min_epi64_sse2(__m128i a, __m128i b) {
-  const __m128i diff = _mm_sub_epi64(a, b);
-  const __m128i sign = _mm_srai_epi32(
-      _mm_shuffle_epi32(diff, _MM_SHUFFLE(3, 3, 1, 1)), 31);
-  return _mm_add_epi64(b, _mm_and_si128(diff, sign));
-}
-
-inline std::int64_t hsum_epi64_sse2(__m128i v) {
-  alignas(16) std::int64_t lanes[2];
-  _mm_store_si128(reinterpret_cast<__m128i*>(lanes), v);
-  return lanes[0] + lanes[1];
-}
-
-ECRS_HOT std::int64_t sum_min_sse2(const std::int64_t* vals,
-                                   const std::uint32_t* idx,
-                          std::size_t n, std::int64_t bound) {
-  const __m128i b = _mm_set1_epi64x(bound);
-  __m128i acc = _mm_setzero_si128();
-  std::size_t j = 0;
-  for (; j + 2 <= n; j += 2) {
-    const __m128i v = _mm_set_epi64x(vals[idx[j + 1]], vals[idx[j]]);
-    acc = _mm_add_epi64(acc, min_epi64_sse2(v, b));
-  }
-  std::int64_t total = hsum_epi64_sse2(acc);
-  for (; j < n; ++j) total += std::min(bound, vals[idx[j]]);
-  return total;
-}
-
-ECRS_HOT std::int64_t consume_min_sse2(std::int64_t* vals,
-                                       const std::uint32_t* idx,
-                              std::size_t n, std::int64_t bound) {
-  const __m128i b = _mm_set1_epi64x(bound);
-  __m128i acc = _mm_setzero_si128();
-  std::size_t j = 0;
-  for (; j + 2 <= n; j += 2) {
-    const std::uint32_t i0 = idx[j];
-    const std::uint32_t i1 = idx[j + 1];
-    const __m128i v = _mm_set_epi64x(vals[i1], vals[i0]);
-    const __m128i used = min_epi64_sse2(v, b);
-    const __m128i rem = _mm_sub_epi64(v, used);
-    alignas(16) std::int64_t rbuf[2];
-    _mm_store_si128(reinterpret_cast<__m128i*>(rbuf), rem);
-    vals[i0] = rbuf[0];
-    vals[i1] = rbuf[1];
-    acc = _mm_add_epi64(acc, used);
-  }
-  std::int64_t total = hsum_epi64_sse2(acc);
-  for (; j < n; ++j) {
-    const std::int64_t used = std::min(bound, vals[idx[j]]);
-    vals[idx[j]] -= used;
-    total += used;
-  }
-  return total;
-}
-
-// ECRS_NO_SANITIZE_INTEGER: the 2^52 magic-bias int64->double conversion
-// and the int64 lane-index -> uint32 narrowing are exact by construction
-// (guarded by kMaxExactUtil), but look like implicit-conversion findings to
-// -fsanitize=integer.
-ECRS_HOT ECRS_NO_SANITIZE_INTEGER ratio_best ratio_argmin_sse2(
-    const double* price, const std::int64_t* util,
-                             const std::uint32_t* seller,
-                             const char* seller_active, std::size_t n,
-                             std::uint32_t skip_index,
-                             std::uint32_t skip_seller) {
-  ratio_best best{kInf, kNoIndex};
-  const __m128i magic_bits = _mm_set1_epi64x(0x4330000000000000LL);
-  const __m128d magic = _mm_castsi128_pd(magic_bits);
-  const __m128d inf = _mm_set1_pd(kInf);
-  __m128d lane_best = inf;
-  __m128i lane_idx = _mm_set1_epi64x(-1);
-
-  // Per-lane liveness: byte-indexed seller liveness and the skip rules have
-  // no vector form at this tier, so the predicate (and the exact-conversion
-  // guard) is evaluated scalar and folded into one lane mask.
-  auto lane_ok = [&](std::size_t jj) -> long long {
-    if (jj == skip_index) return 0;
-    const std::uint32_t s = seller[jj];
-    if (s == skip_seller || !seller_active[s]) return 0;
-    return util[jj] > 0 ? -1LL : 0LL;
-  };
-
-  std::size_t j = 0;
-  for (; j + 2 <= n; j += 2) {
-    if (util[j] > kMaxExactUtil || util[j + 1] > kMaxExactUtil) {
-      ratio_scan_scalar(price, util, seller, seller_active, j, j + 2,
-                        skip_index, skip_seller, best);
-      continue;
-    }
-    const __m128i mask = _mm_set_epi64x(lane_ok(j + 1), lane_ok(j));
-    if (_mm_movemask_epi8(mask) == 0) continue;
-    // util <= 0 lanes are masked, so clamping to 0 before the biased
-    // conversion only changes dead lanes (avoids a garbage mantissa OR).
-    const __m128i u = _mm_and_si128(
-        _mm_set_epi64x(util[j + 1], util[j]), mask);
-    const __m128d ud = _mm_sub_pd(_mm_castsi128_pd(_mm_or_si128(u, magic_bits)),
-                                  magic);
-    const __m128d p = _mm_loadu_pd(price + j);
-    const __m128d maskd = _mm_castsi128_pd(mask);
-    __m128d r = _mm_div_pd(p, ud);
-    r = _mm_or_pd(_mm_and_pd(maskd, r), _mm_andnot_pd(maskd, inf));
-    const __m128d lt = _mm_cmplt_pd(r, lane_best);
-    lane_best = _mm_or_pd(_mm_and_pd(lt, r), _mm_andnot_pd(lt, lane_best));
-    const __m128i lti = _mm_castpd_si128(lt);
-    const __m128i cur =
-        _mm_set_epi64x(static_cast<long long>(j + 1), static_cast<long long>(j));
-    lane_idx = _mm_or_si128(_mm_and_si128(lti, cur),
-                            _mm_andnot_si128(lti, lane_idx));
-  }
-  ratio_scan_scalar(price, util, seller, seller_active, j, n, skip_index,
-                    skip_seller, best);
-
-  alignas(16) double rbuf[2];
-  alignas(16) std::int64_t ibuf[2];
-  _mm_store_pd(rbuf, lane_best);
-  _mm_store_si128(reinterpret_cast<__m128i*>(ibuf), lane_idx);
-  for (int k = 0; k < 2; ++k) {
-    if (ibuf[k] < 0) continue;
-    const auto cand = static_cast<std::uint32_t>(ibuf[k]);
-    if (rbuf[k] < best.ratio || (rbuf[k] == best.ratio && cand < best.index)) {
-      best.ratio = rbuf[k];
-      best.index = cand;
-    }
-  }
-  return best;
-}
 
 // -------------------------------------------------------------------- AVX2
 // Compiled with a per-function target attribute so the rest of the binary
@@ -284,8 +150,10 @@ __attribute__((target("avx2"))) ECRS_HOT std::int64_t consume_min_avx2(
   return total;
 }
 
-// ECRS_NO_SANITIZE_INTEGER: same exact-by-construction 2^52 bias
-// conversions as the SSE2 kernel.
+// ECRS_NO_SANITIZE_INTEGER: the 2^52 magic-bias int64->double conversion
+// and the int64 lane-index -> uint32 narrowing are exact by construction
+// (guarded by kMaxExactUtil), but look like implicit-conversion findings to
+// -fsanitize=integer.
 __attribute__((target("avx2"))) ECRS_HOT ECRS_NO_SANITIZE_INTEGER ratio_best
 ratio_argmin_avx2(
     const double* price, const std::int64_t* util, const std::uint32_t* seller,
@@ -364,15 +232,13 @@ ratio_argmin_avx2(
 constexpr kernel_table kScalarTable{level::scalar, sum_min_scalar,
                                     consume_min_scalar, ratio_argmin_scalar};
 #if defined(ECRS_SIMD_X86)
-constexpr kernel_table kSse2Table{level::sse2, sum_min_sse2, consume_min_sse2,
-                                  ratio_argmin_sse2};
 constexpr kernel_table kAvx2Table{level::avx2, sum_min_avx2, consume_min_avx2,
                                   ratio_argmin_avx2};
 #endif
 
 level detect() {
 #if defined(ECRS_SIMD_X86)
-  return __builtin_cpu_supports("avx2") ? level::avx2 : level::sse2;
+  return __builtin_cpu_supports("avx2") ? level::avx2 : level::scalar;
 #else
   return level::scalar;
 #endif
@@ -382,7 +248,6 @@ const kernel_table& table_for(level l) {
 #if defined(ECRS_SIMD_X86)
   switch (l) {
     case level::avx2: return kAvx2Table;
-    case level::sse2: return kSse2Table;
     case level::scalar: break;
   }
 #else
@@ -400,7 +265,6 @@ level env_level() {
       std::strcmp(env, "0") == 0) {
     return level::scalar;
   }
-  if (std::strcmp(env, "sse2") == 0) return clamp_to_support(level::sse2);
   if (std::strcmp(env, "avx2") == 0) return clamp_to_support(level::avx2);
   return detect();  // unknown value: auto
 }
@@ -412,7 +276,6 @@ std::atomic<const kernel_table*> g_active{nullptr};
 const char* to_string(level l) {
   switch (l) {
     case level::scalar: return "scalar";
-    case level::sse2: return "sse2";
     case level::avx2: return "avx2";
   }
   return "unknown";

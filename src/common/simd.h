@@ -12,7 +12,7 @@
 //                        live candidate rows — the eager selection scan, the
 //                        probe-trajectory argmin, and the runner-up scan.
 //
-// Each has a scalar, SSE2 and AVX2 implementation selected once at startup
+// Each has a scalar and an AVX2 implementation selected once at startup
 // (CPU detection, overridable via the ECRS_SIMD environment variable or the
 // force() test hook) through a table of function pointers. Every tier is
 // BITWISE-IDENTICAL by construction, not just "close":
@@ -22,7 +22,7 @@
 //    indices (CSR coverage rows are sorted unique), otherwise the gathered
 //    read-modify-write of consume_min_indexed would lose updates;
 //  - ratio_argmin performs the same IEEE double division per element in
-//    every tier. The vector tiers convert int64 utilities to double with
+//    every tier. The AVX2 tier converts int64 utilities to double with
 //    the exact 2^52 bias trick and fall back to scalar for any chunk
 //    holding a utility >= 2^52 (outside the exact range); dead lanes are
 //    blended to +inf before the compare so a 0/0 NaN never participates.
@@ -30,8 +30,8 @@
 //    lane and the horizontal reduce is (ratio, index)-lexicographic, which
 //    reproduces the scalar ascending scan's argmin exactly.
 //
-// ECRS_SIMD values: "off" / "scalar" / "0" pin the scalar tier, "sse2" and
-// "avx2" pin that tier (clamped to what the CPU supports), anything else —
+// ECRS_SIMD values: "off" / "scalar" / "0" pin the scalar tier, "avx2"
+// pins that tier (clamped to what the CPU supports), anything else —
 // including unset — auto-detects. See DESIGN.md §11.
 #pragma once
 
@@ -42,9 +42,9 @@
 
 namespace ecrs::simd {
 
-// Instruction-set tier of a kernel table. scalar is always available; on
-// x86-64, sse2 is baseline and avx2 is detected at runtime.
-enum class level : int { scalar = 0, sse2 = 1, avx2 = 2 };
+// Instruction-set tier of a kernel table. scalar is always available (and
+// is the tier of CPUs without AVX2); avx2 is detected at runtime on x86-64.
+enum class level : int { scalar = 0, avx2 = 1 };
 
 [[nodiscard]] const char* to_string(level l);
 

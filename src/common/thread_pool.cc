@@ -112,13 +112,4 @@ thread_pool& thread_pool::shared() {
   return pool;
 }
 
-void parallel_for(thread_pool* pool, std::size_t n,
-                  const std::function<void(std::size_t)>& fn) {
-  if (pool == nullptr) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  pool->parallel_for(n, fn);
-}
-
 }  // namespace ecrs

@@ -56,8 +56,4 @@ class thread_pool {
   bool stopping_ ECRS_GUARDED_BY(mutex_) = false;
 };
 
-// Convenience: `pool == nullptr` runs the loop inline on the calling thread.
-void parallel_for(thread_pool* pool, std::size_t n,
-                  const std::function<void(std::size_t)>& fn);
-
 }  // namespace ecrs

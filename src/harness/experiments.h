@@ -146,22 +146,6 @@ struct marketplace_config {
   // Shard fan-out width: 0 = shared pool at hardware width, 1 = serial,
   // k = at most k workers.
   std::size_t threads = 0;
-  // Streaming ingestion mode (PR 9): per-round demand comes from a
-  // workload::generator request stream fed through market::round_ingestor
-  // (microservices = regions * demanders_per_region, round-robin hosted),
-  // with the round-1 bid sets standing for the whole horizon so shard
-  // warm-start engages. demand_scale / requirement caps apply through the
-  // ingestor's quantization instead of the random requirement draw.
-  bool streaming = false;
-  std::uint32_t users = 300;   // stream width (streaming mode only)
-  double unit_demand = 4.0;    // resource-seconds per requirement unit
-  // Perf telemetry columns (allocs_per_round, spill_assembly_ms), OFF by
-  // default: the base table must stay byte-identical across thread counts
-  // and machines, and these columns are not. alloc_count supplies the
-  // process-wide allocation counter (the bench binaries install an
-  // operator-new hook); nullptr reports 0.
-  bool perf_columns = false;
-  std::uint64_t (*alloc_count)() = nullptr;
 };
 
 [[nodiscard]] table marketplace_rounds(const marketplace_config& cfg = {});

@@ -105,29 +105,6 @@ auction::units round_ingestor::supply_cap(std::uint32_t region,
   return caps_.empty() ? kNoSupplyCap : caps_[region][local];
 }
 
-void round_ingestor::accumulate(std::span<const workload::request> batch) {
-  const std::uint32_t regions = config_.regions;
-  for (const workload::request& q : batch) {
-    ECRS_CHECK_MSG(q.microservice < config_.microservices,
-                   "request targets microservice "
-                       << q.microservice << " outside the configured "
-                       << config_.microservices);
-    check_demand(q.microservice, q.service_demand);
-    accum_[q.microservice % regions][q.microservice / regions] +=
-        q.service_demand;
-  }
-}
-
-void round_ingestor::add_demand(std::uint32_t microservice, double amount) {
-  ECRS_CHECK_MSG(microservice < config_.microservices,
-                 "demand targets microservice "
-                     << microservice << " outside the configured "
-                     << config_.microservices);
-  check_demand(microservice, amount);
-  accum_[microservice % config_.regions][microservice / config_.regions] +=
-      amount;
-}
-
 void round_ingestor::add_demands(std::span<const double> by_microservice) {
   ECRS_CHECK_MSG(by_microservice.size() == config_.microservices,
                  "dense demand vector carries "
@@ -166,12 +143,6 @@ const auction::regional_instance& round_ingestor::finalize() {
         config_.threads);
   }
   return round_;
-}
-
-const auction::regional_instance& round_ingestor::ingest(
-    std::span<const workload::request> batch) {
-  accumulate(batch);
-  return finalize();
 }
 
 }  // namespace ecrs::market

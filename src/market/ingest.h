@@ -1,19 +1,20 @@
-// Streaming regional ingestion: workload request batches straight into
-// per-region shard instances (DESIGN.md section 12, PR 9).
+// Regional ingestion of per-microservice demand estimates into per-region
+// shard instances (DESIGN.md section 12).
 //
 // Instead of materializing one GLOBAL single_stage_instance per round and
 // splitting it by region — at the 100-region / ~1M demander scale a full
 // copy of every requirement and every bid, every round — the
 // round_ingestor owns the per-region standing bid sets once, and each round
-// only rewrites the per-region requirement vectors from the request stream:
+// only rewrites the per-region requirement vectors from the estimates
+// (the paper's X_i^t, Eq. 1, as demand::estimator produces them):
 //
-//   1. accumulate: every request adds its service_demand to its
-//      microservice's accumulator row — region m % regions, local slot
+//   1. add_demands: every microservice's estimated resource-seconds are
+//      added to its accumulator slot — region m % regions, local slot
 //      m / regions, the same round-robin placement
 //      workload::generator::region_of uses. Rows are carved from the
 //      ingestor's arena at construction (one double row per region), so
 //      the per-round loop is pure arithmetic into preallocated memory.
-//   2. quantize: per region (parallel across regions, disjoint rows — or
+//   2. finalize: per region (parallel across regions, disjoint rows — or
 //      serial; identical bytes either way), each accumulator becomes a
 //      requirement: ceil(accumulated / unit_demand) units, capped by
 //      max_requirement and by the region's guaranteed-supply bound
@@ -23,9 +24,9 @@
 //      for the next round.
 //
 // The returned regional_instance is stable storage owned by the ingestor:
-// feed it to marketplace::run_round, then ingest the next batch. Bids are
-// standing across rounds, so shard warm-start caches engage. The steady
-// state allocates nothing.
+// feed it to marketplace::run_round, then add the next round's estimates.
+// Bids are standing across rounds, so shard warm-start caches engage. The
+// steady state allocates nothing.
 #pragma once
 
 #include <cstdint>
@@ -37,7 +38,6 @@
 #include "auction/instance_gen.h"
 #include "common/annotations.h"
 #include "common/arena.h"
-#include "workload/request.h"
 
 namespace ecrs::market {
 
@@ -47,9 +47,8 @@ inline constexpr auction::units kNoSupplyCap =
 
 struct ingest_config {
   std::uint32_t regions = 1;
-  // Microservice id space of the request stream; microservice m lands on
-  // region m % regions, local demander slot m / regions (the
-  // workload::generator contract).
+  // Microservice id space; microservice m lands on region m % regions,
+  // local demander slot m / regions (the workload::generator contract).
   std::uint32_t microservices = 1;
   // Resource-seconds of accumulated service demand per requirement unit.
   double unit_demand = 1.0;
@@ -68,7 +67,7 @@ struct ingest_config {
   std::size_t threads = 1;
 };
 
-// One request batch's demand, quantized to auction units: ceil of
+// One microservice's round demand, quantized to auction units: ceil of
 // accumulated / unit_demand, capped by max_requirement (when > 0) and
 // supply_cap (kNoSupplyCap = none), then scaled by demand_scale (ceil).
 // A quotient at or above 2^63 takes the cap; with no cap, or a scaled
@@ -86,7 +85,7 @@ class round_ingestor {
   round_ingestor(ingest_config config, auction::regional_instance standing);
 
   [[nodiscard]] const ingest_config& config() const { return config_; }
-  // The current round view (requirements of the last ingest() call).
+  // The current round view (requirements of the last finalize() call).
   [[nodiscard]] const auction::regional_instance& round() const {
     return round_;
   }
@@ -104,21 +103,10 @@ class round_ingestor {
   [[nodiscard]] auction::units supply_cap(std::uint32_t region,
                                           std::uint32_t local) const;
 
-  // Add one (sub-)batch's service demand to the round's accumulators,
-  // serial in batch order. Callable any number of times per round — the
-  // stream does not have to arrive as one batch; sums are order-exact per
-  // microservice, so splitting a batch at any point is byte-identical to
-  // accumulating it whole. Every service_demand must be finite and >= 0
-  // (check_error otherwise), as must add_demand/add_demands amounts.
-  ECRS_HOT void accumulate(std::span<const workload::request> batch);
-
-  // Estimator-driven flavour: add `amount` resource-seconds of estimated
-  // demand directly to one microservice's accumulator — the closed-loop
-  // daemon path, where requirements come from demand::estimator output
-  // rather than raw request sums. Mixable with accumulate() in one round.
-  ECRS_HOT void add_demand(std::uint32_t microservice, double amount);
-
-  // add_demand for a dense per-microservice vector (index = global id).
+  // Add one round's estimated demand, a dense per-microservice vector of
+  // resource-seconds (index = global id, size = microservices). Every
+  // amount must be finite and >= 0 (check_error otherwise). Callable more
+  // than once per round; amounts add up until finalize().
   ECRS_HOT void add_demands(std::span<const double> by_microservice);
 
   // Close the round: quantize every accumulator into its region's
@@ -126,10 +114,6 @@ class round_ingestor {
   // disjoint writes — byte-identical at any thread count), reset the
   // accumulators, and return the round's per-region instances.
   const auction::regional_instance& finalize();
-
-  // accumulate() + finalize() for the common one-batch-per-round loop.
-  const auction::regional_instance& ingest(
-      std::span<const workload::request> batch);
 
  private:
   ECRS_HOT void quantize_region(std::uint32_t region);

@@ -570,12 +570,6 @@ TEST(ThreadPool, SharedPoolIsSingleton) {
   EXPECT_GE(thread_pool::shared().size(), 1u);
 }
 
-TEST(ParallelForFreeFunction, NullPoolRunsInline) {
-  std::vector<std::size_t> order;
-  parallel_for(nullptr, 5, [&](std::size_t i) { order.push_back(i); });
-  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
-}
-
 // ------------------------------------------------------------------- arena
 
 TEST(Arena, AllocationsAreAlignedAndDisjoint) {
@@ -657,10 +651,8 @@ struct tier_restore {
 
 std::vector<simd::level> supported_tiers() {
   std::vector<simd::level> tiers = {simd::level::scalar};
-  for (const simd::level l : {simd::level::sse2, simd::level::avx2}) {
-    if (static_cast<int>(l) <= static_cast<int>(simd::max_supported())) {
-      tiers.push_back(l);
-    }
+  if (simd::max_supported() == simd::level::avx2) {
+    tiers.push_back(simd::level::avx2);
   }
   return tiers;
 }

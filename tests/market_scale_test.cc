@@ -1,10 +1,13 @@
 // Large-scale streaming marketplace byte-identity (PR 9 acceptance): a
 // 64-region x 1000-demanders-per-region horizon fed from the workload
 // stream through market::round_ingestor must produce byte-identical
-// rounds at every thread setting {1, 2, hardware, 0}. Slow-labeled: quick
+// rounds at every thread setting {1, 2, hardware, 0}. Each round sums
+// the requests' service demand per microservice, in batch order, into
+// the dense vector round_ingestor::add_demands takes. Slow-labeled: quick
 // CI lanes run `ctest -LE slow`; the full lanes run it everywhere else.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <thread>
@@ -110,11 +113,17 @@ std::vector<std::uint64_t> run_horizon(const scale_setup& setup,
   workload::generator gen(setup.wcfg);
 
   std::vector<workload::request> batch;
+  std::vector<double> demand(icfg.microservices);
   market::marketplace_round result;
   std::vector<std::uint64_t> digest;
   for (std::size_t t = 0; t < kRounds; ++t) {
     gen.round_into(static_cast<double>(t), 1.0, batch);
-    mkt.run_round(ingestor.ingest(batch), result);
+    std::fill(demand.begin(), demand.end(), 0.0);
+    for (const workload::request& q : batch) {
+      demand[q.microservice] += q.service_demand;
+    }
+    ingestor.add_demands(demand);
+    mkt.run_round(ingestor.finalize(), result);
     digest_round(result, digest);
   }
   return digest;

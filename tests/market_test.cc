@@ -9,7 +9,6 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
-#include <span>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -24,7 +23,6 @@
 #include "market/ingest.h"
 #include "market/marketplace.h"
 #include "market/spillover.h"
-#include "workload/request.h"
 
 namespace ecrs {
 namespace {
@@ -397,20 +395,6 @@ TEST(MarketplaceDriver, TableIsThreadCountInvariant) {
   ASSERT_EQ(serial.rows(), 3u);
 }
 
-TEST(MarketplaceDriver, StreamingTableIsThreadCountInvariant) {
-  harness::marketplace_config cfg;
-  cfg.regions = 5;
-  cfg.rounds = 4;
-  cfg.streaming = true;
-  cfg.users = 40;
-  cfg.threads = 1;
-  const auto serial = harness::marketplace_rounds(cfg);
-  cfg.threads = 0;
-  const auto parallel = harness::marketplace_rounds(cfg);
-  EXPECT_EQ(serial.to_csv(), parallel.to_csv());
-  ASSERT_EQ(serial.rows(), 4u);
-}
-
 // ------------------------------------------------ seller_best_index (PR 9)
 
 // The old pick_per_seller scan, verbatim semantics: walk the offers in
@@ -508,12 +492,16 @@ auction::regional_instance small_standing() {
   return standing;
 }
 
-workload::request request_for(std::uint32_t microservice, double demand) {
-  workload::request q;
-  q.microservice = microservice;
-  q.region = microservice % 2;
-  q.service_demand = demand;
-  return q;
+// Sums (microservice, demand) pairs, in order, into the dense
+// per-microservice vector round_ingestor::add_demands takes.
+std::vector<double> dense_demand(
+    std::uint32_t microservices,
+    const std::vector<std::pair<std::uint32_t, double>>& pairs) {
+  std::vector<double> dense(microservices, 0.0);
+  for (const auto& [microservice, demand] : pairs) {
+    dense.at(microservice) += demand;
+  }
+  return dense;
 }
 
 TEST(Ingest, QuantizeDemandClampsThenScales) {
@@ -533,14 +521,17 @@ TEST(Ingest, QuantizeDemandClampsThenScales) {
 
 TEST(Ingest, RejectsNonFiniteDemandAndCapsHugeDemandBeforeCasting) {
   market::round_ingestor ing(small_ingest_config(), small_standing());
-  EXPECT_THROW(ing.add_demand(0, std::numeric_limits<double>::infinity()),
+  EXPECT_THROW(ing.add_demands(dense_demand(
+                   5, {{0, std::numeric_limits<double>::infinity()}})),
                check_error);
   std::vector<double> dense(5, 1.0);
   dense[3] = std::numeric_limits<double>::infinity();
   EXPECT_THROW(ing.add_demands(dense), check_error);
-  const std::vector<workload::request> bad = {
-      request_for(2, std::numeric_limits<double>::quiet_NaN())};
-  EXPECT_THROW(ing.accumulate(bad), check_error);
+  EXPECT_THROW(ing.add_demands(dense_demand(
+                   5, {{2, std::numeric_limits<double>::quiet_NaN()}})),
+               check_error);
+  EXPECT_THROW(ing.add_demands(dense_demand(5, {{1, -1.0}})), check_error);
+  EXPECT_THROW(ing.add_demands(std::vector<double>(4, 1.0)), check_error);
 
   market::ingest_config icfg;
   icfg.max_requirement = 5;
@@ -584,10 +575,9 @@ TEST(Ingest, PlacementAndSupplyCaps) {
 TEST(Ingest, MatchesManualQuantization) {
   const market::ingest_config icfg = small_ingest_config();
   market::round_ingestor ing(icfg, small_standing());
-  const std::vector<workload::request> batch = {
-      request_for(0, 1.5), request_for(3, 4.0), request_for(0, 2.5),
-      request_for(4, 0.2), request_for(1, 6.0)};
-  const auction::regional_instance& round = ing.ingest(batch);
+  ing.add_demands(
+      dense_demand(5, {{0, 1.5}, {3, 4.0}, {0, 2.5}, {4, 0.2}, {1, 6.0}}));
+  const auction::regional_instance& round = ing.finalize();
   ASSERT_EQ(round.region_count(), 2u);
   // Region 0 hosts microservices 0, 2, 4: ceil(4/2), 0, ceil(0.2/2).
   EXPECT_EQ(round.regions[0].requirements,
@@ -595,34 +585,11 @@ TEST(Ingest, MatchesManualQuantization) {
   // Region 1 hosts microservices 1, 3: ceil(6/2), ceil(4/2).
   EXPECT_EQ(round.regions[1].requirements,
             (std::vector<auction::units>{3, 2}));
-  // Accumulators were reset: an empty next round quantizes to zero.
-  ing.accumulate({});
+  // Accumulators were reset: an all-zero next round quantizes to zero.
+  ing.add_demands(dense_demand(5, {}));
   const auction::regional_instance& next = ing.finalize();
   EXPECT_EQ(next.regions[0].requirements,
             (std::vector<auction::units>{0, 0, 0}));
-}
-
-TEST(Ingest, SubBatchAccumulationMatchesWholeBatch) {
-  const market::ingest_config icfg = small_ingest_config();
-  rng gen(5150);
-  std::vector<workload::request> batch;
-  for (int i = 0; i < 64; ++i) {
-    batch.push_back(request_for(
-        static_cast<std::uint32_t>(gen.uniform_int(0, 4)),
-        static_cast<double>(gen.uniform_int(1, 40)) / 8.0));
-  }
-  market::round_ingestor whole(icfg, small_standing());
-  const auction::regional_instance& expect = whole.ingest(batch);
-
-  market::round_ingestor split(icfg, small_standing());
-  const std::span<const workload::request> view(batch);
-  split.accumulate(view.subspan(0, 20));
-  split.accumulate(view.subspan(20, 30));
-  split.accumulate(view.subspan(50));
-  const auction::regional_instance& got = split.finalize();
-  for (std::uint32_t r = 0; r < 2; ++r) {
-    EXPECT_EQ(got.regions[r].requirements, expect.regions[r].requirements);
-  }
 }
 
 TEST(Ingest, QuantizeIsThreadCountInvariant) {
@@ -636,18 +603,20 @@ TEST(Ingest, QuantizeIsThreadCountInvariant) {
     const std::uint32_t n = r < 61 % 7 ? 9 : 8;  // 61 round-robin over 7
     standing.regions[r].requirements.assign(n, 0);
   }
-  std::vector<workload::request> batch;
+  std::vector<std::pair<std::uint32_t, double>> pairs;
   for (int i = 0; i < 500; ++i) {
-    batch.push_back(request_for(
-        static_cast<std::uint32_t>(gen.uniform_int(0, 60)),
-        static_cast<double>(gen.uniform_int(1, 80)) / 16.0));
+    pairs.emplace_back(static_cast<std::uint32_t>(gen.uniform_int(0, 60)),
+                       static_cast<double>(gen.uniform_int(1, 80)) / 16.0);
   }
+  const std::vector<double> dense = dense_demand(61, pairs);
   icfg.threads = 1;
   market::round_ingestor serial(icfg, standing);
-  const auction::regional_instance& a = serial.ingest(batch);
+  serial.add_demands(dense);
+  const auction::regional_instance& a = serial.finalize();
   icfg.threads = 0;
   market::round_ingestor parallel(icfg, std::move(standing));
-  const auction::regional_instance& b = parallel.ingest(batch);
+  parallel.add_demands(dense);
+  const auction::regional_instance& b = parallel.finalize();
   for (std::uint32_t r = 0; r < 7; ++r) {
     EXPECT_EQ(a.regions[r].requirements, b.regions[r].requirements);
   }

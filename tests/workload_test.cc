@@ -1,4 +1,4 @@
-// Unit tests for workload arrival processes, the generator, and traces.
+// Unit tests for the workload generator and traces.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,60 +12,11 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "common/statistics.h"
-#include "workload/arrival.h"
 #include "workload/generator.h"
 #include "workload/trace.h"
 
 namespace ecrs::workload {
 namespace {
-
-// ---------------------------------------------------------------- arrivals
-
-TEST(PoissonArrivals, MeanInterarrivalMatchesRate) {
-  poisson_arrivals p(4.0);
-  rng gen(1);
-  running_stats s;
-  for (int i = 0; i < 20000; ++i) s.add(p.next_interarrival(0.0, gen));
-  EXPECT_NEAR(s.mean(), 0.25, 0.01);
-  EXPECT_DOUBLE_EQ(p.rate_at(123.0), 4.0);
-}
-
-TEST(PoissonArrivals, RejectsNonPositiveRate) {
-  EXPECT_THROW(poisson_arrivals(0.0), check_error);
-}
-
-TEST(DeterministicArrivals, FixedPeriod) {
-  deterministic_arrivals d(2.5);
-  rng gen(2);
-  EXPECT_DOUBLE_EQ(d.next_interarrival(0.0, gen), 2.5);
-  EXPECT_DOUBLE_EQ(d.next_interarrival(100.0, gen), 2.5);
-  EXPECT_DOUBLE_EQ(d.rate_at(0.0), 0.4);
-}
-
-TEST(DiurnalArrivals, RateOscillatesAroundBase) {
-  diurnal_arrivals d(10.0, 0.5, 100.0);
-  EXPECT_NEAR(d.rate_at(0.0), 10.0, 1e-9);
-  EXPECT_NEAR(d.rate_at(25.0), 15.0, 1e-9);  // peak at quarter period
-  EXPECT_NEAR(d.rate_at(75.0), 5.0, 1e-9);   // trough at three quarters
-}
-
-TEST(DiurnalArrivals, ThinningProducesPositiveGaps) {
-  diurnal_arrivals d(10.0, 0.8, 50.0);
-  rng gen(3);
-  double now = 0.0;
-  for (int i = 0; i < 1000; ++i) {
-    const double gap = d.next_interarrival(now, gen);
-    EXPECT_GT(gap, 0.0);
-    now += gap;
-  }
-  // Long-run average rate should be near the base rate.
-  EXPECT_NEAR(1000.0 / now, 10.0, 1.5);
-}
-
-TEST(DiurnalArrivals, RejectsBadDepth) {
-  EXPECT_THROW(diurnal_arrivals(1.0, 1.0, 10.0), check_error);
-  EXPECT_THROW(diurnal_arrivals(1.0, -0.1, 10.0), check_error);
-}
 
 // --------------------------------------------------------------- generator
 

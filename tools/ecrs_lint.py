@@ -28,25 +28,14 @@ tools/verify.sh in the lint stage. Rules (docs/ANALYSIS.md has the rationale):
                    with exactly one newline. (Also the clang-format
                    fallback baseline for toolchains without clang-format.)
 
-Migrated rules — owned by tools/ecrs_analyze (call-graph aware, so they see
-transitive violations the per-line regexes cannot) and OFF here by default;
-`--include-migrated` re-enables the regex versions as a fallback for
-environments where the analyzer is not wired up:
-
-  auction-hot-alloc direct `new` / `std::make_unique` in the auction
-                   hot-path files (src/auction/ssam.cc, compiled.h,
-                   compiled.cc, msoa.cc). Superseded by the analyzer's
-                   transitive `hot-alloc` rule over ECRS_HOT functions.
-  des-std-function std::function in src/des/ headers. Superseded by the
-                   analyzer's file rule of the same name. Only the public
-                   `using callback = std::function<...>` alias on the
-                   frozen reference engine is exempt.
+The transitive `hot-alloc` rule over ECRS_HOT functions and the
+`des-std-function` file rule live in tools/ecrs_analyze, which is
+call-graph aware and so sees violations no per-line regex can.
 
 Suppress a finding with `// ecrs-lint: allow(<rule>)` on the same line or
 the line above.
 
 Usage: ecrs_lint.py [--root REPO_ROOT] [--rules r1,r2,...]
-                    [--include-migrated]
 Exit status: 0 clean, 1 findings, 2 usage error.
 """
 
@@ -63,19 +52,6 @@ EXTRA_WHITESPACE_DIRS = ("tests", "tools", "bench", "examples")
 CXX_SUFFIXES = {".h", ".cc", ".cpp", ".hpp"}
 
 ALLOW_RE = re.compile(r"ecrs-lint:\s*allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)")
-
-# Rules whose ownership moved to tools/ecrs_analyze; kept here as regex
-# fallbacks behind --include-migrated.
-MIGRATED_RULES = frozenset({"auction-hot-alloc", "des-std-function"})
-
-# Auction files on the mechanism's critical path: selection, payments and
-# the per-round MSOA driver. Kept allocation-free at steady state.
-AUCTION_HOT_FILES = {
-    "src/auction/ssam.cc",
-    "src/auction/compiled.h",
-    "src/auction/compiled.cc",
-    "src/auction/msoa.cc",
-}
 
 # Function-declaration head: optional specifiers, a return type, a
 # snake_case name, an opening paren — at class-member or namespace-scope
@@ -221,8 +197,7 @@ def check_nodiscard(path: Path, raw_lines: list[str],
             "side-effecting mutators)"))
 
 
-def lint_file(path: Path, rel: Path, findings: list[Finding],
-              include_migrated: bool = False) -> None:
+def lint_file(path: Path, rel: Path, findings: list[Finding]) -> None:
     raw = path.read_text(encoding="utf-8")
     raw_lines = raw.split("\n")
 
@@ -262,30 +237,6 @@ def lint_file(path: Path, rel: Path, findings: list[Finding],
                     path, idx + 1, "iostream-include",
                     "library code must not include <iostream>; return data "
                     "and let tools/ print it"))
-        if (include_migrated
-                and rel.parts[:2] == (LIBRARY_DIR, "des")
-                and path.suffix == ".h"
-                and "std::function" in line
-                and not re.search(r"\busing\s+callback\s*=", line)):
-            if not allow("des-std-function"):
-                findings.append(Finding(
-                    path, idx + 1, "des-std-function",
-                    "DES headers must store callbacks via des/callback.h "
-                    "basic_callback (inline storage), not std::function "
-                    "(one heap allocation per scheduled event); only the "
-                    "reference engine's public `using callback = ...` "
-                    "alias is exempt"))
-        if (include_migrated
-                and rel.as_posix() in AUCTION_HOT_FILES
-                and re.search(r"\bnew\b|\bmake_unique\b", line)):
-            if not allow("auction-hot-alloc"):
-                findings.append(Finding(
-                    path, idx + 1, "auction-hot-alloc",
-                    "auction hot-path files must not hit the global "
-                    "allocator: use ssam_scratch buffers or the thread's "
-                    "bump arena (common/arena.h); allowlist one-time "
-                    "workspace construction with "
-                    "'// ecrs-lint: allow(auction-hot-alloc)'"))
         if (rel.as_posix() == "src/auction/ssam.cc"
                 and re.search(r"(\.|->)coverage\b", line)):
             if not allow("coverage-hot-loop"):
@@ -307,10 +258,6 @@ def main() -> int:
                         help="repository root (default: cwd)")
     parser.add_argument("--rules", default="",
                         help="comma-separated subset of rules to report")
-    parser.add_argument("--include-migrated", action="store_true",
-                        help="also run the regex fallbacks for rules now "
-                             "owned by tools/ecrs_analyze "
-                             "(auction-hot-alloc, des-std-function)")
     args = parser.parse_args()
 
     root = Path(args.root).resolve()
@@ -330,8 +277,7 @@ def main() -> int:
             if path.suffix not in CXX_SUFFIXES or not path.is_file():
                 continue
             files += 1
-            lint_file(path, path.relative_to(root), findings,
-                      include_migrated=args.include_migrated)
+            lint_file(path, path.relative_to(root), findings)
 
     if args.rules:
         wanted = {r.strip() for r in args.rules.split(",")}

@@ -19,15 +19,13 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import ecrs_lint  # noqa: E402
 
 
-def run_lint(rel: str, content: str,
-             include_migrated: bool = False) -> list[tuple[str, int]]:
+def run_lint(rel: str, content: str) -> list[tuple[str, int]]:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(content, encoding="utf-8")
         findings: list[ecrs_lint.Finding] = []
-        ecrs_lint.lint_file(path, Path(rel), findings,
-                            include_migrated=include_migrated)
+        ecrs_lint.lint_file(path, Path(rel), findings)
         return [(f.rule, f.line) for f in findings]
 
 
@@ -172,36 +170,6 @@ class WhitespaceTest(unittest.TestCase):
     def test_applies_outside_src(self):
         out = run_lint("tests/x.cc", 'int x = 0;  \n')
         self.assertIn(("whitespace", 1), out)
-
-
-class MigratedRulesTest(unittest.TestCase):
-    """auction-hot-alloc / des-std-function are analyzer-owned; the regex
-    versions only run with include_migrated=True."""
-
-    def test_hot_alloc_off_by_default(self):
-        src = 'void f() { auto* p = new int[4]; delete[] p; }\n'
-        out = run_lint("src/auction/ssam.cc", src)
-        self.assertNotIn("auction-hot-alloc", [r for r, _ in out])
-
-    def test_hot_alloc_fallback(self):
-        src = 'void f() { auto* p = new int[4]; delete[] p; }\n'
-        out = run_lint("src/auction/ssam.cc", src, include_migrated=True)
-        self.assertIn(("auction-hot-alloc", 1), out)
-
-    def test_std_function_off_by_default(self):
-        src = BANNER + 'struct e { std::function<void()> fire; };\n'
-        out = run_lint("src/des/x.h", src)
-        self.assertNotIn("des-std-function", [r for r, _ in out])
-
-    def test_std_function_fallback(self):
-        src = BANNER + 'struct e { std::function<void()> fire; };\n'
-        out = run_lint("src/des/x.h", src, include_migrated=True)
-        self.assertIn(("des-std-function", 3), out)
-
-    def test_callback_alias_exempt(self):
-        src = BANNER + 'using callback = std::function<void()>;\n'
-        out = run_lint("src/des/x.h", src, include_migrated=True)
-        self.assertNotIn("des-std-function", [r for r, _ in out])
 
 
 if __name__ == "__main__":
