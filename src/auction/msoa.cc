@@ -251,6 +251,11 @@ void msoa_session::load(checkpoint_reader& r) {
   round_ = r.u32();
   alpha_ = r.f64();
   beta_ = r.f64();
+  // Only states run_round can reach: α frozen at a finite non-negative
+  // value, β a positive ratio or +inf, ψ finite and non-negative, and no
+  // seller past its lifetime capacity (used_ + weight must not overflow).
+  ECRS_CHECK_MSG(std::isfinite(alpha_) && alpha_ >= 0.0 && beta_ > 0.0,
+                 "checkpoint holds alpha " << alpha_ << ", beta " << beta_);
   const std::size_t n = r.size();
   ECRS_CHECK_MSG(n == profiles_.size(),
                  "checkpoint holds " << n << " sellers, session has "
@@ -259,6 +264,11 @@ void msoa_session::load(checkpoint_reader& r) {
     psi_[s] = r.f64();
     used_[s] = r.i64();
     active_[s] = r.u8() ? 1 : 0;
+    ECRS_CHECK_MSG(std::isfinite(psi_[s]) && psi_[s] >= 0.0 &&
+                       used_[s] >= 0 && used_[s] <= profiles_[s].capacity,
+                   "checkpoint holds psi " << psi_[s] << " and "
+                                           << used_[s] << " used units for "
+                                           << "seller " << s);
   }
   // The compiled warm-start view is rebuilt lazily on the next cold round;
   // warm and cold rounds are bit-identical, so resume replays exactly.

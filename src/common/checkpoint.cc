@@ -1,8 +1,9 @@
 #include "common/checkpoint.h"
 
-#include <bit>
+#include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <utility>
 
 #include "common/check.h"
 
@@ -20,30 +21,6 @@ struct file_closer {
 };
 using unique_file = std::unique_ptr<std::FILE, file_closer>;
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
 }  // namespace
 
 ECRS_NO_SANITIZE_INTEGER std::uint64_t fnv1a64(
@@ -56,53 +33,49 @@ ECRS_NO_SANITIZE_INTEGER std::uint64_t fnv1a64(
   return h;
 }
 
-void checkpoint_writer::u32(std::uint32_t v) { put_u32(buf_, v); }
-
-void checkpoint_writer::u64(std::uint64_t v) { put_u64(buf_, v); }
-
-void checkpoint_writer::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-
-std::uint8_t checkpoint_reader::u8() {
-  ECRS_CHECK_MSG(pos_ + 1 <= data_.size(), "checkpoint payload overrun");
-  return data_[pos_++];
+void checkpoint_writer::grow() {
+  const std::size_t capacity = std::max<std::size_t>(64, 2 * capacity_);
+  auto bigger = std::make_unique_for_overwrite<std::uint8_t[]>(capacity);
+  if (size_ > 0) std::memcpy(bigger.get(), buf_.get(), size_);
+  buf_ = std::move(bigger);
+  capacity_ = capacity;
 }
 
-std::uint32_t checkpoint_reader::u32() {
-  ECRS_CHECK_MSG(pos_ + 4 <= data_.size(), "checkpoint payload overrun");
-  const std::uint32_t v = get_u32(data_.data() + pos_);
-  pos_ += 4;
+template <class T>
+T checkpoint_reader::get() {
+  ECRS_CHECK_MSG(sizeof(T) <= data_.size() - pos_,
+                 "checkpoint payload overrun");
+  T v;
+  std::memcpy(&v, data_.data() + pos_, sizeof(T));
+  pos_ += sizeof(T);
   return v;
 }
 
-std::uint64_t checkpoint_reader::u64() {
-  ECRS_CHECK_MSG(pos_ + 8 <= data_.size(), "checkpoint payload overrun");
-  const std::uint64_t v = get_u64(data_.data() + pos_);
-  pos_ += 8;
-  return v;
-}
-
-double checkpoint_reader::f64() { return std::bit_cast<double>(u64()); }
+std::uint8_t checkpoint_reader::u8() { return get<std::uint8_t>(); }
+std::uint32_t checkpoint_reader::u32() { return get<std::uint32_t>(); }
+std::uint64_t checkpoint_reader::u64() { return get<std::uint64_t>(); }
+std::int64_t checkpoint_reader::i64() { return get<std::int64_t>(); }
+double checkpoint_reader::f64() { return get<double>(); }
 
 void save_checkpoint_file(const std::string& path, std::uint64_t config_hash,
                           std::span<const std::uint8_t> payload) {
-  std::vector<std::uint8_t> header;
-  header.reserve(kHeaderBytes);
-  put_u64(header, kCheckpointMagic);
-  put_u32(header, kCheckpointVersion);
-  put_u32(header, 0);  // pad, keeps every field 8-byte aligned
-  put_u64(header, config_hash);
-  put_u64(header, static_cast<std::uint64_t>(payload.size()));
-  put_u64(header, fnv1a64(payload));
+  checkpoint_writer header;
+  header.u64(kCheckpointMagic);
+  header.u32(kCheckpointVersion);
+  header.u32(0);  // pad, keeps every field 8-byte aligned
+  header.u64(config_hash);
+  header.size(payload.size());
+  header.u64(fnv1a64(payload));
 
   unique_file f(std::fopen(path.c_str(), "wb"));
   ECRS_CHECK_MSG(f != nullptr, "cannot open checkpoint file '" << path
                                                                << "' for writing");
-  const std::size_t wrote_header =
-      std::fwrite(header.data(), 1, header.size(), f.get());
+  const std::size_t wrote_header = std::fwrite(
+      header.payload().data(), 1, header.bytes_written(), f.get());
   const std::size_t wrote_payload =
       payload.empty() ? 0
                       : std::fwrite(payload.data(), 1, payload.size(), f.get());
-  ECRS_CHECK_MSG(wrote_header == header.size() &&
+  ECRS_CHECK_MSG(wrote_header == kHeaderBytes &&
                      wrote_payload == payload.size(),
                  "short write to checkpoint file '" << path << "'");
   ECRS_CHECK_MSG(std::fflush(f.get()) == 0,
@@ -115,38 +88,49 @@ std::vector<std::uint8_t> load_checkpoint_file(
   ECRS_CHECK_MSG(f != nullptr,
                  "cannot open checkpoint file '" << path << "'");
 
-  std::uint8_t header[kHeaderBytes];
-  const std::size_t got = std::fread(header, 1, kHeaderBytes, f.get());
+  std::uint8_t bytes[kHeaderBytes];
+  const std::size_t got = std::fread(bytes, 1, kHeaderBytes, f.get());
   ECRS_CHECK_MSG(got == kHeaderBytes,
                  "checkpoint file '" << path << "' truncated: " << got
                                      << " header bytes of " << kHeaderBytes);
 
-  const std::uint64_t magic = get_u64(header);
+  checkpoint_reader header(bytes);
+  const std::uint64_t magic = header.u64();
   ECRS_CHECK_MSG(magic == kCheckpointMagic,
                  "'" << path << "' is not an ECRS checkpoint (bad magic)");
-  const std::uint32_t version = get_u32(header + 8);
+  const std::uint32_t version = header.u32();
+  static_cast<void>(header.u32());  // pad
   ECRS_CHECK_MSG(version == kCheckpointVersion,
                  "checkpoint '" << path << "' has format version " << version
                                 << ", this build reads "
                                 << kCheckpointVersion);
-  const std::uint64_t config_hash = get_u64(header + 16);
+  const std::uint64_t config_hash = header.u64();
   ECRS_CHECK_MSG(config_hash == expected_config_hash,
                  "checkpoint '" << path
                                 << "' was written by a daemon with a "
                                    "different configuration");
-  const std::uint64_t declared = get_u64(header + 24);
-  const std::uint64_t checksum = get_u64(header + 32);
+  const std::uint64_t declared = header.u64();
+  const std::uint64_t checksum = header.u64();
 
-  std::vector<std::uint8_t> payload(static_cast<std::size_t>(declared));
-  const std::size_t read =
-      payload.empty() ? 0 : std::fread(payload.data(), 1, payload.size(), f.get());
-  ECRS_CHECK_MSG(read == payload.size(),
-                 "checkpoint '" << path << "' truncated: " << read
+  // Bound the declared size by the file's length before allocating, so a
+  // corrupt size field fails here instead of reserving gigabytes.
+  constexpr long kPayloadAt = static_cast<long>(kHeaderBytes);
+  const long held = std::fseek(f.get(), 0, SEEK_END) == 0
+                        ? std::ftell(f.get()) - kPayloadAt
+                        : -1;
+  ECRS_CHECK_MSG(held >= 0 && std::fseek(f.get(), kPayloadAt, SEEK_SET) == 0,
+                 "cannot seek checkpoint '" << path << "'");
+  ECRS_CHECK_MSG(static_cast<std::uint64_t>(held) >= declared,
+                 "checkpoint '" << path << "' truncated: " << held
                                 << " payload bytes of " << declared);
   // Trailing garbage would also mean the container is not what save wrote.
-  std::uint8_t extra = 0;
-  ECRS_CHECK_MSG(std::fread(&extra, 1, 1, f.get()) == 0,
+  ECRS_CHECK_MSG(static_cast<std::uint64_t>(held) == declared,
                  "checkpoint '" << path << "' carries trailing bytes");
+  std::vector<std::uint8_t> payload(static_cast<std::size_t>(declared));
+  ECRS_CHECK_MSG(payload.empty() || std::fread(payload.data(), 1,
+                                               payload.size(), f.get()) ==
+                                        payload.size(),
+                 "cannot read checkpoint '" << path << "'");
   ECRS_CHECK_MSG(fnv1a64(payload) == checksum,
                  "checkpoint '" << path << "' failed its checksum");
   return payload;

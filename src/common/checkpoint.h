@@ -17,7 +17,10 @@
 // keeps the format small and the restore bit-identical.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -25,6 +28,10 @@
 #include "common/annotations.h"
 
 namespace ecrs {
+
+// The format is little-endian; the writer and reader copy native words.
+static_assert(std::endian::native == std::endian::little,
+              "the checkpoint format is little-endian");
 
 // Format identity of the checkpoint container ("ECRSCKPT" little-endian)
 // and the current payload layout version. Bump the version whenever a
@@ -37,23 +44,39 @@ inline constexpr std::uint32_t kCheckpointVersion = 1;
 ECRS_NO_SANITIZE_INTEGER [[nodiscard]] std::uint64_t fnv1a64(
     std::span<const std::uint8_t> bytes);
 
-// Append-only typed byte sink. All integers little-endian fixed width;
-// doubles stored as their bit pattern (bit-exact round trip).
+// Append-only typed byte sink: one memcpy of each value's fixed-width
+// native (so little-endian) representation; doubles keep their bit
+// pattern. clear() keeps the buffer, so a reused writer stops allocating
+// after its first payload.
 class checkpoint_writer {
  public:
-  void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
-  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void f64(double v);
-  void size(std::size_t v) { u64(static_cast<std::uint64_t>(v)); }
+  void u8(std::uint8_t v) { put(v); }
+  void u32(std::uint32_t v) { put(v); }
+  void u64(std::uint64_t v) { put(v); }
+  void i64(std::int64_t v) { put(v); }
+  void f64(double v) { put(v); }
+  void size(std::size_t v) { put(static_cast<std::uint64_t>(v)); }
 
-  [[nodiscard]] std::span<const std::uint8_t> payload() const { return buf_; }
-  [[nodiscard]] std::size_t bytes_written() const { return buf_.size(); }
-  void clear() { buf_.clear(); }
+  [[nodiscard]] std::span<const std::uint8_t> payload() const {
+    return {buf_.get(), size_};
+  }
+  [[nodiscard]] std::size_t bytes_written() const { return size_; }
+  void clear() { size_ = 0; }
 
  private:
-  std::vector<std::uint8_t> buf_;
+  template <class T>
+  void put(T v) {
+    if (capacity_ - size_ < sizeof(T)) grow();
+    std::memcpy(buf_.get() + size_, &v, sizeof(T));
+    size_ += sizeof(T);
+  }
+  // Doubles the buffer (64 bytes at first), uninitialized: capacity and
+  // touched pages match what a byte-wise push_back would have reached.
+  void grow();
+
+  std::unique_ptr<std::uint8_t[]> buf_;
+  std::size_t capacity_ = 0;
+  std::size_t size_ = 0;  // bytes written
 };
 
 // Typed cursor over a payload. Every read checks the remaining length and
@@ -67,9 +90,7 @@ class checkpoint_reader {
   [[nodiscard]] std::uint8_t u8();
   [[nodiscard]] std::uint32_t u32();
   [[nodiscard]] std::uint64_t u64();
-  [[nodiscard]] std::int64_t i64() {
-    return static_cast<std::int64_t>(u64());
-  }
+  [[nodiscard]] std::int64_t i64();
   [[nodiscard]] double f64();
   [[nodiscard]] std::size_t size() {
     return static_cast<std::size_t>(u64());
@@ -84,6 +105,8 @@ class checkpoint_reader {
   [[nodiscard]] bool exhausted() const { return pos_ == data_.size(); }
 
  private:
+  template <class T> [[nodiscard]] T get();
+
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;
 };

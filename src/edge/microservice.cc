@@ -1,6 +1,7 @@
 #include "edge/microservice.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/check.h"
 
@@ -133,12 +134,17 @@ void microservice::save(ecrs::checkpoint_writer& w) const {
 
 void microservice::load(ecrs::checkpoint_reader& r) {
   const std::uint32_t id = r.u32();
-  const auto qos = static_cast<workload::qos_class>(r.u8());
-  ECRS_CHECK_MSG(id == id_ && qos == qos_,
+  const std::uint8_t qos = r.u8();
+  ECRS_CHECK_MSG(id == id_ && qos == static_cast<std::uint8_t>(qos_),
                  "checkpoint holds microservice " << id
                                                   << ", restoring into "
                                                   << id_);
   allocation_ = r.f64();
+  // The checks set_allocation makes, written so that NaN fails them too.
+  ECRS_CHECK_MSG(std::isfinite(allocation_) && allocation_ >= 0.0,
+                 "checkpoint holds allocation " << allocation_
+                                                << " for microservice "
+                                                << id_);
   queued_demand_sum_ = r.f64();
   round_received_ = r.u64();
   round_served_ = r.u64();
@@ -164,10 +170,23 @@ void microservice::load(ecrs::checkpoint_reader& r) {
     q.req.user = r.u32();
     q.req.microservice = r.u32();
     q.req.region = r.u32();
-    q.req.qos = static_cast<workload::qos_class>(r.u8());
+    const std::uint8_t req_qos = r.u8();
     q.req.arrival_time = r.f64();
     q.req.service_demand = r.f64();
     q.remaining = r.f64();
+    // Only what enqueue admits and advance leaves behind: a NaN or
+    // infinite remainder would pin the head forever, a negative one would
+    // grow the round's service budget.
+    ECRS_CHECK_MSG(
+        q.req.microservice == id_ &&
+            req_qos == static_cast<std::uint8_t>(qos_) &&
+            std::isfinite(q.req.service_demand) &&
+            q.req.service_demand >= 0.0 && std::isfinite(q.remaining) &&
+            q.remaining >= 0.0 && q.remaining <= q.req.service_demand &&
+            std::isfinite(q.req.arrival_time),
+        "checkpoint holds an impossible request " << i << " queued at "
+                                                  << "microservice " << id_);
+    q.req.qos = qos_;
     queue_.push_back(q);
   }
 }

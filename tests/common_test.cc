@@ -1,18 +1,26 @@
 // Unit tests for ecrs::common (rng, statistics, table, flags, check,
-// arena, simd).
+// checkpoint encoding, arena, simd).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <set>
+#include <span>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/arena.h"
 #include "common/check.h"
+#include "common/checkpoint.h"
 #include "common/flags.h"
 #include "common/rng.h"
 #include "common/simd.h"
@@ -490,6 +498,142 @@ TEST(Flags, BooleanSpellings) {
   EXPECT_TRUE(f.get_bool("a", false));
   EXPECT_FALSE(f.get_bool("b", true));
   EXPECT_FALSE(f.get_bool("c", true));
+}
+
+// -------------------------------------------------------------- checkpoint
+
+std::vector<std::uint8_t> bytes_of(const checkpoint_writer& w) {
+  return {w.payload().begin(), w.payload().end()};
+}
+
+void write_sample(checkpoint_writer& w) {
+  w.u8(0xab);
+  w.u32(0x01020304u);
+  w.u64(0x1122334455667788ULL);
+  w.i64(-2);
+  w.f64(1.5);
+  w.size(258);
+}
+
+// The format's bytes, apart from the golden digests that hash them: every
+// width little-endian, i64 two's complement, f64 its IEEE-754 bit pattern.
+const std::vector<std::uint8_t> kSampleBytes = {
+    0xab,                                            // u8
+    0x04, 0x03, 0x02, 0x01,                          // u32
+    0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11,  // u64
+    0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,  // i64 -2
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf8, 0x3f,  // f64 1.5
+    0x02, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // size 258
+};
+
+TEST(Checkpoint, WriterEncodesLittleEndianFixedWidth) {
+  checkpoint_writer w;
+  write_sample(w);
+  EXPECT_EQ(w.bytes_written(), kSampleBytes.size());
+  EXPECT_EQ(bytes_of(w), kSampleBytes);
+
+  // A cleared writer is empty and writes the same bytes again (the reuse
+  // pattern of a daemon checkpointing every few rounds).
+  w.clear();
+  EXPECT_EQ(w.bytes_written(), 0u);
+  EXPECT_TRUE(w.payload().empty());
+  write_sample(w);
+  EXPECT_EQ(bytes_of(w), kSampleBytes);
+
+  // Past several buffer doublings the words still land back to back.
+  w.clear();
+  for (std::uint32_t i = 0; i < 256; ++i) w.u32(i * 0x01010101u);
+  ASSERT_EQ(w.bytes_written(), 1024u);
+  const std::vector<std::uint8_t> bytes = bytes_of(w);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    ASSERT_EQ(bytes[i], static_cast<std::uint8_t>(i / 4)) << "byte " << i;
+  }
+}
+
+TEST(Checkpoint, ReaderRoundTripsAndRejectsOverrunAtEveryWidth) {
+  checkpoint_writer w;
+  write_sample(w);
+  const double nan_payload = std::bit_cast<double>(0x7ff8000000000123ULL);
+  w.f64(-0.0);
+  w.f64(nan_payload);
+  w.i64(std::numeric_limits<std::int64_t>::min());
+  checkpoint_reader r(w.payload());
+  EXPECT_EQ(r.u8(), 0xab);
+  EXPECT_EQ(r.u32(), 0x01020304u);
+  EXPECT_EQ(r.u64(), 0x1122334455667788ULL);
+  EXPECT_EQ(r.i64(), -2);
+  EXPECT_EQ(r.f64(), 1.5);
+  EXPECT_EQ(r.size(), 258u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.f64()),
+            std::bit_cast<std::uint64_t>(-0.0));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.f64()),
+            std::bit_cast<std::uint64_t>(nan_payload));
+  EXPECT_EQ(r.i64(), std::numeric_limits<std::int64_t>::min());
+  EXPECT_TRUE(r.exhausted());
+  EXPECT_THROW(static_cast<void>(r.u8()), check_error);
+
+  // With fewer bytes left than a word needs, the read throws and leaves the
+  // cursor where it was; a word that fits still reads.
+  const std::vector<std::uint8_t> bytes(8, 0x5a);
+  for (std::size_t left = 0; left < 8; ++left) {
+    SCOPED_TRACE(testing::Message() << left << " bytes left");
+    checkpoint_reader c(std::span<const std::uint8_t>(bytes).last(left));
+    if (left < 1) {
+      EXPECT_THROW(static_cast<void>(c.u8()), check_error);
+    }
+    if (left < 4) {
+      EXPECT_THROW(static_cast<void>(c.u32()), check_error);
+    }
+    EXPECT_THROW(static_cast<void>(c.u64()), check_error);
+    EXPECT_THROW(static_cast<void>(c.i64()), check_error);
+    EXPECT_THROW(static_cast<void>(c.f64()), check_error);
+    EXPECT_THROW(static_cast<void>(c.size()), check_error);
+    EXPECT_EQ(c.remaining(), left);
+    if (left >= 4) {
+      EXPECT_EQ(c.u32(), 0x5a5a5a5au);
+      EXPECT_EQ(c.remaining(), left - 4);
+    }
+  }
+}
+
+TEST(Checkpoint, FileHeaderEncodingAndOversizedDeclaredPayload) {
+  const std::string path = testing::TempDir() + "common_ckpt.bin";
+  save_checkpoint_file(path, 0x0102030405060708ULL, kSampleBytes);
+  EXPECT_EQ(load_checkpoint_file(path, 0x0102030405060708ULL), kSampleBytes);
+
+  std::vector<char> file;
+  {
+    std::ifstream in(path, std::ios::binary);
+    file.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  }
+  ASSERT_EQ(file.size(), 40 + kSampleBytes.size());
+  checkpoint_writer header;
+  header.u64(kCheckpointMagic);
+  header.u32(kCheckpointVersion);
+  header.u32(0);
+  header.u64(0x0102030405060708ULL);
+  header.size(kSampleBytes.size());
+  header.u64(fnv1a64(kSampleBytes));
+  EXPECT_EQ(std::string(file.data(), 8), "ECRSCKPT");
+  EXPECT_TRUE(std::equal(header.payload().begin(), header.payload().end(),
+                         reinterpret_cast<const std::uint8_t*>(file.data())));
+
+  // A declared payload size beyond the file fails as a check, before any
+  // buffer of that size is allocated.
+  for (const std::uint64_t declared :
+       {std::uint64_t{1} << 40, std::numeric_limits<std::uint64_t>::max()}) {
+    std::vector<char> bad = file;
+    std::memcpy(bad.data() + 24, &declared, sizeof declared);
+    const std::string bad_path = testing::TempDir() + "common_ckpt_big.bin";
+    {
+      std::ofstream out(bad_path, std::ios::binary | std::ios::trunc);
+      out.write(bad.data(), static_cast<std::streamsize>(bad.size()));
+    }
+    EXPECT_THROW(static_cast<void>(load_checkpoint_file(
+                     bad_path, 0x0102030405060708ULL)),
+                 check_error);
+  }
 }
 
 // --------------------------------------------------------------- stopwatch

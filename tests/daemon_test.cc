@@ -10,11 +10,14 @@
 
 #include <atomic>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <new>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -546,6 +549,143 @@ TEST(Daemon, RejectsInconsistentSetups) {
   s.config.scenario.flash_every = 4;
   s.config.scenario.flash_factor = 1e300;
   expect_rejected(std::move(s), "flash_factor");
+}
+
+// Byte offsets of the payload's length fields, found by walking the layout
+// daemon::save writes: the daemon's three words, the generator, the
+// cluster (service count, then per service 101 bytes of state, a queue
+// length and 45 bytes per queued request), the estimator (round count,
+// slot count, 29 bytes per slot) and the marketplace (round, shard count,
+// then per shard 20 bytes of session state, a seller count and 17 bytes
+// per seller).
+std::vector<std::size_t> length_fields(std::span<const std::uint8_t> payload) {
+  ecrs::checkpoint_reader r(payload);
+  std::vector<std::size_t> at;
+  const auto skip = [&r](std::size_t bytes) {
+    for (std::size_t i = 0; i < bytes; ++i) static_cast<void>(r.u8());
+  };
+  const auto count = [&] {
+    at.push_back(payload.size() - r.remaining());
+    return r.size();
+  };
+  skip(24 + 48);
+  const std::size_t services = count();
+  for (std::size_t i = 0; i < services; ++i) {
+    skip(101);
+    skip(45 * count());
+  }
+  skip(8);
+  skip(29 * count());
+  skip(4);
+  const std::size_t shards = count();
+  for (std::size_t i = 0; i < shards; ++i) {
+    skip(20);
+    skip(17 * count());
+  }
+  EXPECT_TRUE(r.exhausted());
+  return at;
+}
+
+// A checkpoint whose checksum is valid can still be wrong: a buggy writer
+// or a hand-edited file re-sealed with a fresh header. Every such payload
+// must be refused by load_file with check_error, or restore a daemon that
+// keeps running (a later round may refuse its state with check_error, but
+// no estimate it publishes is NaN or infinite). A crash, hang or sanitizer
+// report fails the test.
+TEST(DaemonCheckpoint, ResealedMutationsThrowOrResumeCleanly) {
+  constexpr std::uint64_t kSeed = 21;
+  daemon source(make_setup(kSeed));
+  source.run_rounds(2);
+  const std::vector<std::uint8_t> good = save_bytes(source);
+  const std::vector<std::size_t> lengths = length_fields(good);
+  ASSERT_EQ(lengths.size(), 1 + kRegions * kDemanders + 1 + 1 + kRegions);
+
+  std::vector<std::pair<std::string, std::vector<std::uint8_t>>> cases;
+  for (const std::size_t at : lengths) {
+    std::uint64_t n = 0;
+    std::memcpy(&n, good.data() + at, sizeof n);
+    // n - 1 is spelled so that n == 0 does not wrap (clang's integer
+    // sanitizer reports unsigned wraparound too).
+    for (const std::uint64_t v :
+         {std::uint64_t{0}, n > 0 ? n - 1 : n, n + 1,
+          std::numeric_limits<std::uint64_t>::max()}) {
+      if (v == n) continue;
+      std::vector<std::uint8_t> bytes = good;
+      std::memcpy(bytes.data() + at, &v, sizeof v);
+      cases.emplace_back("length at byte " + std::to_string(at) + " = " +
+                             std::to_string(v),
+                         std::move(bytes));
+    }
+  }
+  rng gen(0x5eed);
+  const auto draw = [&gen](std::size_t lo, std::size_t hi) {
+    return static_cast<std::size_t>(gen.uniform_int(
+        static_cast<std::int64_t>(lo), static_cast<std::int64_t>(hi)));
+  };
+  for (int i = 0; i < 400; ++i) {
+    std::vector<std::uint8_t> bytes = good;
+    const std::size_t bit = draw(0, 8 * bytes.size() - 1);
+    bytes[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    cases.emplace_back("flip bit " + std::to_string(bit), std::move(bytes));
+  }
+  for (int i = 0; i < 30; ++i) {
+    std::vector<std::uint8_t> bytes = good;
+    bytes.resize(draw(0, bytes.size() - 1));
+    cases.emplace_back("truncate to " + std::to_string(bytes.size()),
+                       std::move(bytes));
+  }
+  for (int i = 0; i < 30; ++i) {
+    std::vector<std::uint8_t> bytes = good;
+    const std::size_t extra = draw(1, 64);
+    for (std::size_t b = 0; b < extra; ++b) {
+      bytes.push_back(static_cast<std::uint8_t>(draw(0, 255)));
+    }
+    cases.emplace_back("extend by " + std::to_string(extra),
+                       std::move(bytes));
+  }
+
+  // Loads `bytes` re-sealed under a valid header; 0 when load_file refuses
+  // them, 1 when a resumed round does, 2 when three rounds run.
+  const std::string path = testing::TempDir() + "daemon_ckpt_fuzz.bin";
+  const auto resume = [&](const std::vector<std::uint8_t>& bytes) {
+    ecrs::save_checkpoint_file(path, source.config_hash(), bytes);
+    daemon fresh(make_setup(kSeed));
+    try {
+      fresh.load_file(path);
+    } catch (const check_error&) {
+      return 0;
+    }
+    bool finite = true;
+    fresh.set_round_callback(
+        [&finite](std::uint64_t, const market::marketplace_round&,
+                  std::span<const double> estimates) {
+          for (const double e : estimates) finite = finite && std::isfinite(e);
+        });
+    try {
+      fresh.run_rounds(3);
+    } catch (const check_error&) {
+      return 1;
+    }
+    EXPECT_TRUE(finite) << "a resumed daemon published a non-finite estimate";
+    return 2;
+  };
+  ASSERT_EQ(resume(good), 2);
+  std::size_t refused = 0;
+  std::size_t resumed = 0;
+  for (const auto& [what, bytes] : cases) {
+    SCOPED_TRACE(what);
+    try {
+      const int outcome = resume(bytes);
+      refused += outcome == 0 ? 1 : 0;
+      resumed += outcome == 2 ? 1 : 0;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "threw something other than check_error: " << e.what();
+    }
+  }
+  // Both outcomes occur: the mutations reach the loaders' checks and the
+  // resumed rounds alike.
+  EXPECT_GT(refused, 0u);
+  EXPECT_GT(resumed, 0u);
 }
 
 }  // namespace

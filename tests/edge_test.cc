@@ -2,7 +2,10 @@
 // sharing, and the cluster.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
 #include <numeric>
+#include <vector>
 
 #include "common/check.h"
 #include "edge/cluster.h"
@@ -338,6 +341,78 @@ TEST(Microservice, CheckpointRestoresQueueMidService) {
   ecrs::checkpoint_reader again(w.payload());
   microservice other(4, workload::qos_class::delay_sensitive);
   EXPECT_THROW(other.load(again), check_error);
+}
+
+// Overwrites the bytes at `offset` with the checkpoint encoding of `v`.
+template <class T>
+void patch(std::vector<std::uint8_t>& bytes, std::size_t offset, T v) {
+  ASSERT_LE(offset + sizeof(T), bytes.size());
+  std::memcpy(bytes.data() + offset, &v, sizeof(T));
+}
+
+// A payload that passes every checksum can still describe a queue that
+// enqueue and advance could never have built; load must refuse each one
+// instead of restoring a head that never drains or a negative budget.
+TEST(Microservice, CheckpointRejectsImpossibleQueuedRequest) {
+  microservice source(3, workload::qos_class::delay_sensitive);
+  source.set_allocation(0.5);
+  source.enqueue(make_request(3, 0.25, 2.0));
+  source.advance(0.25, 1.0);  // remaining 1.5 of 2.0
+  ecrs::checkpoint_writer w;
+  source.save(w);
+  const std::vector<std::uint8_t> good(w.payload().begin(),
+                                       w.payload().end());
+  // The one queued request is the last 45 bytes: id u64, user u32,
+  // microservice u32, region u32, qos u8, arrival f64, demand f64,
+  // remaining f64. The allocation follows the id u32 and qos u8.
+  const std::size_t req = good.size() - 45;
+  const std::size_t service = req + 12;
+  const std::size_t qos = req + 20;
+  const std::size_t arrival = req + 21;
+  const std::size_t demand = req + 29;
+  const std::size_t remaining = req + 37;
+  const std::size_t allocation = 5;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+
+  const auto restores = [](const std::vector<std::uint8_t>& bytes) {
+    ecrs::checkpoint_reader r(bytes);
+    microservice target(3, workload::qos_class::delay_sensitive);
+    target.load(r);
+    return r.exhausted();
+  };
+  ASSERT_TRUE(restores(good));
+
+  const auto expect_rejected = [&](std::size_t offset, auto v,
+                                   const char* what) {
+    SCOPED_TRACE(what);
+    std::vector<std::uint8_t> bytes = good;
+    patch(bytes, offset, v);
+    EXPECT_THROW(restores(bytes), check_error);
+  };
+  expect_rejected(service, std::uint32_t{4}, "routed to another service");
+  expect_rejected(qos, std::uint8_t{1}, "the other QoS class");
+  expect_rejected(qos, std::uint8_t{2}, "QoS byte outside the enum");
+  expect_rejected(demand, nan, "NaN service demand");
+  expect_rejected(demand, inf, "infinite service demand");
+  expect_rejected(demand, -1.0, "negative service demand");
+  expect_rejected(remaining, nan, "NaN remaining");
+  expect_rejected(remaining, inf, "infinite remaining");
+  expect_rejected(remaining, -inf, "minus infinite remaining");
+  expect_rejected(remaining, -0.5, "negative remaining");
+  expect_rejected(remaining, 2.5, "remaining above the demand");
+  expect_rejected(arrival, nan, "NaN arrival time");
+  expect_rejected(arrival, -inf, "infinite arrival time");
+  expect_rejected(allocation, nan, "NaN allocation");
+  expect_rejected(allocation, inf, "infinite allocation");
+  expect_rejected(allocation, -1.0, "negative allocation");
+
+  // The bounds themselves are reachable states and still restore.
+  std::vector<std::uint8_t> edge = good;
+  patch(edge, remaining, 0.0);
+  EXPECT_TRUE(restores(edge));
+  patch(edge, remaining, 2.0);
+  EXPECT_TRUE(restores(edge));
 }
 
 TEST(Cluster, CheckpointRoundTripMatchesStraightRun) {

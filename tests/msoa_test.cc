@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <sstream>
+#include <vector>
 
 #include "auction/exact.h"
 #include "auction/instance_gen.h"
@@ -267,6 +270,57 @@ TEST(MsoaSession, CheckpointRoundTripReplaysIdentically) {
   checkpoint_reader again(w.payload());
   msoa_session mismatched({seller_profile{4, 1, 2}});
   EXPECT_THROW(mismatched.load(again), check_error);
+}
+
+// A payload with a valid checksum can still hold seller state no round can
+// reach; a used count near INT64_MAX would overflow `used_ + weight` in
+// the next admission pass. Load must refuse each one.
+TEST(MsoaSession, CheckpointRejectsImpossibleSellerState) {
+  const auto inst = two_round_instance();
+  msoa_session source(inst.sellers);
+  (void)source.run_round(inst.rounds[0]);
+  checkpoint_writer w;
+  source.save(w);
+  const std::vector<std::uint8_t> good(w.payload().begin(),
+                                       w.payload().end());
+  // round u32, alpha f64, beta f64, seller count, then per seller psi f64,
+  // used i64, active u8.
+  constexpr std::size_t kAlpha = 4;
+  constexpr std::size_t kBeta = 12;
+  constexpr std::size_t kPsi = 28;
+  constexpr std::size_t kUsed = 36;
+  const auto restores = [&inst](const std::vector<std::uint8_t>& bytes) {
+    checkpoint_reader r(bytes);
+    msoa_session target(inst.sellers);
+    target.load(r);
+    return r.exhausted();
+  };
+  const auto with = [&good](std::size_t offset, auto v) {
+    std::vector<std::uint8_t> bytes = good;
+    std::memcpy(bytes.data() + offset, &v, sizeof v);
+    return bytes;
+  };
+  ASSERT_TRUE(restores(good));
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(restores(with(kAlpha, nan)), check_error);
+  EXPECT_THROW(restores(with(kAlpha, inf)), check_error);
+  EXPECT_THROW(restores(with(kAlpha, -1.0)), check_error);
+  EXPECT_THROW(restores(with(kBeta, nan)), check_error);
+  EXPECT_THROW(restores(with(kBeta, 0.0)), check_error);
+  EXPECT_THROW(restores(with(kPsi, nan)), check_error);
+  EXPECT_THROW(restores(with(kPsi, inf)), check_error);
+  EXPECT_THROW(restores(with(kPsi, -1.0)), check_error);
+  EXPECT_THROW(restores(with(kUsed, std::int64_t{-1})), check_error);
+  EXPECT_THROW(restores(with(kUsed, std::int64_t{5})), check_error);
+  EXPECT_THROW(
+      restores(with(kUsed, std::numeric_limits<std::int64_t>::max())),
+      check_error);
+  // Reachable extremes still restore: a seller at its full capacity, and
+  // beta before any admissible bid.
+  EXPECT_TRUE(restores(with(kUsed, std::int64_t{4})));
+  EXPECT_TRUE(restores(with(kBeta, inf)));
 }
 
 TEST(MsoaSession, BetaOneMakesBoundInfinite) {
